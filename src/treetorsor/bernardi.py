@@ -71,22 +71,23 @@ def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
 def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivisor:
     """One chip at the first-cut endpoint of each non-tree edge."""
     tour = bernardi_tour(G, v, e, T)
-    out = {u: 0 for u in G.vertices}
+    chips = [0] * len(G.vertices)
     for u in tour.eta.values():
-        out[u] += 1
-    return bk.BreakDivisor(out, T)
+        chips[G.vertex_pos(u)] += 1
+    return bk.BreakDivisor(G, tuple(chips), T)
 
 
+@lru_cache(maxsize=None)
 def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> frozenset:
     """Shared body of the two inverse reconstructions.
 
     Right inverse: start at (v, e), advance by rotation successors, and test
     cuts by removing a chip at the near endpoint.  Left inverse: start at the
     rotation predecessor of e, advance by predecessors, and test cuts by
-    removing a chip at the far endpoint.
+    removing a chip at the far endpoint.  Deleting edges keeps the vertices,
+    so ``dt`` stays indexed by the file order of ``G`` throughout.
     """
     cur = G
-    coeff = {u: c for u, c in zip(G.vertices, dt)}
     tree: set[str] = set()
     cur_v = v
     cur_e = G.prev_edge(v, e) if left else e
@@ -96,16 +97,15 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
         if budget < 0:
             raise NotBreakDivisor("inverse reconstruction failed to terminate")
         w = cur.other_end(cur_e, cur_v)
-        charged = w if left else cur_v
-        cut_ok = False
-        if cur_e not in tree and coeff[charged] > 0 and cur.is_connected(without=cur_e):
-            smaller = cur.delete_edge(cur_e)
-            trial = coeff.copy()
-            trial[charged] -= 1
-            if bk._is_break(smaller, tuple(trial[u] for u in smaller.vertices)):
-                cut_ok = True
-        if cut_ok:
-            coeff[charged] -= 1
+        i = G.vertex_pos(w if left else cur_v)
+        trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
+        if (
+            cur_e not in tree
+            and dt[i] > 0
+            and cur.is_connected(without=cur_e)
+            and bk._is_break(cur.delete_edge(cur_e), trial)
+        ):
+            dt = trial
             nxt = cur.delete_edge(cur_e)
             # the neighbor of the removed edge in the induced rotation equals
             # its neighbor in the current rotation
@@ -121,23 +121,16 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
     return result
 
 
-@lru_cache(maxsize=None)
-def _alpha_cached(
-    G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool
-) -> frozenset:
-    return _alpha(G, v, e, dt, left)
-
-
 def alpha_right(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozenset:
     """Right inverse: the spanning tree T with beta_{(v,e)}(T) = D."""
     _check_incident(G, v, e)
-    return _alpha_cached(G, v, e, dv.divisor_to_tuple(G, D), False)
+    return _alpha(G, v, e, dv.divisor_to_tuple(G, D), False)
 
 
 def alpha_left(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozenset:
     """Left inverse, touring in the opposite direction; coincides with alpha_right."""
     _check_incident(G, v, e)
-    return _alpha_cached(G, v, e, dv.divisor_to_tuple(G, D), True)
+    return _alpha(G, v, e, dv.divisor_to_tuple(G, D), True)
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +138,9 @@ def _act(
     G: RibbonGraph, v: str, e: str, gamma: tuple[int, ...], T: frozenset
 ) -> frozenset:
     beta = bernardi_beta(G, v, e, T)
-    target = tuple(a + b for a, b in zip(beta.coeffs(G), gamma))
-    rep = bk.break_representative(G, dv.tuple_to_divisor(G, target))
-    return _alpha_cached(G, v, e, rep.coeffs(G), False)
+    target = tuple(a + b for a, b in zip(beta.chips, gamma))
+    rep = bk._representative_table(G)[dv._q_reduce(G, target, G.vertices[0])]
+    return _alpha(G, v, e, rep.chips, False)
 
 
 def bernardi_act(
@@ -165,7 +158,7 @@ def bernardi_act(
     if e is None:
         e = G.rotation[v][0]
     _check_incident(G, v, e)
-    key = dv._q_reduce(G, dv.divisor_to_tuple(G, gamma), G.vertices[0])
+    key = dv._q_reduce(G, dv.class_to_tuple(G, gamma), G.vertices[0])
     return _act(G, v, e, key, T)
 
 
@@ -225,9 +218,9 @@ def shift_difference_check(
     G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset
 ) -> tuple[dict, dict, bool]:
     """Compare the two-tour difference beta1 - beta2 against the arc formula."""
-    b1 = bernardi_beta(G, v, e1, T).divisor
-    b2 = bernardi_beta(G, v, e2, T).divisor
-    lhs = dv.sub(b1, b2)
+    b1 = bernardi_beta(G, v, e1, T).chips
+    b2 = bernardi_beta(G, v, e2, T).chips
+    lhs = dv.tuple_to_divisor(G, tuple(a - b for a, b in zip(b1, b2)))
 
     split = vertex_split(G, v, e1, e2, T)
     A, B = split.side_first, split.side_second
@@ -253,12 +246,9 @@ def shift_difference_check(
             elif f in in_arc and x in B:
                 rhs[v] += 1
                 rhs[x] -= 1
-    lhs_full = {u: lhs.get(u, 0) for u in G.vertices}
-    return lhs_full, rhs, lhs_full == rhs
+    return lhs, rhs, lhs == rhs
 
 
 def beta_table(G: RibbonGraph, v: str, e: str) -> dict[frozenset, tuple[int, ...]]:
     """beta_{(v,e)} over all spanning trees, as coefficient tuples."""
-    return {
-        T: bernardi_beta(G, v, e, T).coeffs(G) for T in spanning_trees(G)
-    }
+    return {T: bernardi_beta(G, v, e, T).chips for T in spanning_trees(G)}

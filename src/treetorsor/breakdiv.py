@@ -20,23 +20,32 @@ from .ribbon import RibbonGraph, spanning_trees
 
 @dataclass(frozen=True)
 class BreakDivisor:
-    divisor: dict
+    """A break divisor of ``graph``, as coefficients in vertex file order,
+    with one spanning tree it breaks."""
+
+    graph: RibbonGraph
+    chips: tuple[int, ...]
     witness_tree: frozenset
 
+    @property
+    def divisor(self) -> dict[str, int]:
+        return dv.tuple_to_divisor(self.graph, self.chips)
+
     def coeffs(self, G: RibbonGraph) -> tuple[int, ...]:
-        return dv.divisor_to_tuple(G, self.divisor)
+        return self.chips
 
 
-def _match(G: RibbonGraph, demand: dict, edges: list[str]) -> dict | None:
+def _match(G: RibbonGraph, demand: list[int], edges: list[str]) -> dict | None:
     """Assign each edge to an endpoint so the chosen endpoints use up demand."""
     if not edges:
         return {}
     e = edges[0]
     for v in G.ends[e]:
-        if demand.get(v, 0) > 0:
-            demand[v] -= 1
+        i = G.vertex_pos(v)
+        if demand[i] > 0:
+            demand[i] -= 1
             rest = _match(G, demand, edges[1:])
-            demand[v] += 1
+            demand[i] += 1
             if rest is not None:
                 rest[e] = v
                 return rest
@@ -47,27 +56,24 @@ def is_compatible(
     G: RibbonGraph, D: Mapping[str, int], T: frozenset
 ) -> tuple[bool, dict | None]:
     """Whether ``D`` is a T-break divisor; the witness maps non-tree edge -> endpoint."""
-    if dv.degree(D) != G.genus_comb or any(c < 0 for c in D.values()):
+    dt = dv.divisor_to_tuple(G, D)
+    if sum(dt) != G.genus_comb or any(c < 0 for c in dt):
         raise DegreeMismatch(
             f"expected an effective divisor of degree {G.genus_comb}"
         )
-    non_tree = [e for e in G.edge_ids if e not in T]
-    assignment = _match(G, {v: D.get(v, 0) for v in G.vertices}, non_tree)
-    if assignment is None:
-        return False, None
-    return True, assignment
+    assignment = _match(G, list(dt), [e for e in G.edge_ids if e not in T])
+    return assignment is not None, assignment
 
 
 @lru_cache(maxsize=None)
 def _is_break(G: RibbonGraph, dt: tuple[int, ...]) -> bool:
     if sum(dt) != G.genus_comb or any(c < 0 for c in dt):
         return False
-    D = dv.tuple_to_divisor(G, dt)
-    for T in spanning_trees(G):
-        ok, _ = is_compatible(G, D, T)
-        if ok:
-            return True
-    return False
+    demand = list(dt)
+    return any(
+        _match(G, demand, [e for e in G.edge_ids if e not in T]) is not None
+        for T in spanning_trees(G)
+    )
 
 
 def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
@@ -92,10 +98,7 @@ def _enumerate(G: RibbonGraph) -> tuple[BreakDivisor, ...]:
             key = tuple(coeffs)
             if key not in seen:
                 seen[key] = T
-    return tuple(
-        BreakDivisor(dv.tuple_to_divisor(G, key), seen[key])
-        for key in sorted(seen)
-    )
+    return tuple(BreakDivisor(G, key, seen[key]) for key in sorted(seen))
 
 
 def enumerate_break_divisors(G: RibbonGraph) -> list[BreakDivisor]:
@@ -109,7 +112,7 @@ def _representative_table(G: RibbonGraph) -> dict[tuple[int, ...], BreakDivisor]
     q = G.vertices[0]
     table: dict[tuple[int, ...], BreakDivisor] = {}
     for bd in _enumerate(G):
-        key = dv._q_reduce(G, bd.coeffs(G), q)
+        key = dv._q_reduce(G, bd.chips, q)
         if key in table:
             raise UniquenessViolation(
                 f"two break divisors in one class: {table[key].divisor} and {bd.divisor}"
@@ -120,11 +123,10 @@ def _representative_table(G: RibbonGraph) -> dict[tuple[int, ...], BreakDivisor]
 
 def break_representative(G: RibbonGraph, D: Mapping[str, int]) -> BreakDivisor:
     """The unique break divisor linearly equivalent to ``D`` (degree g)."""
-    if dv.degree(D) != G.genus_comb:
-        raise DegreeMismatch(
-            f"class has degree {dv.degree(D)}, expected {G.genus_comb}"
-        )
-    key = dv._q_reduce(G, dv.divisor_to_tuple(G, D), G.vertices[0])
+    dt = dv.divisor_to_tuple(G, D)
+    if sum(dt) != G.genus_comb:
+        raise DegreeMismatch(f"class has degree {sum(dt)}, expected {G.genus_comb}")
+    key = dv._q_reduce(G, dt, G.vertices[0])
     table = _representative_table(G)
     if key not in table:
         raise UniquenessViolation("no break divisor in the given class")

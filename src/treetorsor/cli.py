@@ -52,6 +52,12 @@ def _parse_tree(G: RibbonGraph, text: str) -> frozenset:
     return edges
 
 
+def _vertex(G: RibbonGraph, v: str) -> str:
+    if v not in G.rotation:
+        raise TorsorError(f"unknown vertex {v!r}")
+    return v
+
+
 def _parse_cycle(G: RibbonGraph, text: str) -> tuple[Dart, ...]:
     darts = []
     for part in text.split(","):
@@ -65,7 +71,7 @@ def _fmt_tree(T: frozenset) -> str:
 
 
 def _fmt_divisor(D: dict) -> str:
-    return json.dumps({v: c for v, c in D.items()}, sort_keys=True)
+    return json.dumps(D, sort_keys=True)
 
 
 def _graph_arg(p: argparse.ArgumentParser) -> None:
@@ -202,14 +208,15 @@ def _cmd_break_divisors(args) -> int:
 def _cmd_tour(args) -> int:
     G = _load_graph(args.file)
     T = _parse_tree(G, args.tree)
-    print(bernardi_tour(G, args.vertex, args.edge, T).dump())
+    print(bernardi_tour(G, _vertex(G, args.vertex), args.edge, T).dump())
     return PASS
 
 
 def _cmd_beta(args) -> int:
     G = _load_graph(args.file)
     T = _parse_tree(G, args.tree)
-    print(_fmt_divisor(bernardi_beta(G, args.vertex, args.edge, T).divisor))
+    beta = bernardi_beta(G, _vertex(G, args.vertex), args.edge, T)
+    print(_fmt_divisor(beta.divisor))
     return PASS
 
 
@@ -217,26 +224,25 @@ def _cmd_alpha(args, left: bool) -> int:
     G = _load_graph(args.file)
     D = dv.parse_divisor(G, args.divisor)
     fn = alpha_left if left else alpha_right
-    print(_fmt_tree(fn(G, args.vertex, args.edge, D)))
+    print(_fmt_tree(fn(G, _vertex(G, args.vertex), args.edge, D)))
     return PASS
 
 
 def _cmd_act(args, rotor: bool) -> int:
     G = _load_graph(args.file)
+    v = _vertex(G, args.vertex)
     gamma = dv.parse_divisor(G, args.klass)
     T = _parse_tree(G, args.tree)
-    if rotor:
-        result = rt.rotor_act(G, args.vertex, gamma, T)
-    else:
-        result = bernardi_act(G, args.vertex, gamma, T)
-    print(_fmt_tree(result))
+    act = rt.rotor_act if rotor else bernardi_act
+    print(_fmt_tree(act(G, v, gamma, T)))
     return PASS
 
 
 def _cmd_rotor_move(args) -> int:
     G = _load_graph(args.file)
     T = _parse_tree(G, args.tree)
-    print(_fmt_tree(rt.rotor_move(G, T, args.source, args.root)))
+    source, root = _vertex(G, args.source), _vertex(G, args.root)
+    print(_fmt_tree(rt.rotor_move(G, T, source, root)))
     return PASS
 
 
@@ -272,7 +278,7 @@ def _cmd_check_square(args) -> int:
     corr = du.dual_graph(G)
     gamma = dv.parse_divisor(G, args.klass)
     T = _parse_tree(G, args.tree)
-    if du.duality_square_check(corr, args.vertex, gamma, T):
+    if du.duality_square_check(corr, _vertex(G, args.vertex), gamma, T):
         print("commutes")
         return PASS
     print("does-not-commute")
@@ -281,10 +287,9 @@ def _cmd_check_square(args) -> int:
 
 def _cmd_compare_vertices(args) -> int:
     G = _load_graph(args.file)
-    for v in (args.vertex, args.other):
-        if v not in G.rotation:
-            raise TorsorError(f"unknown vertex {v!r}")
-    same, witness = sw.compare_bernardi_vertices(G, args.vertex, args.other)
+    same, witness = sw.compare_bernardi_vertices(
+        G, _vertex(G, args.vertex), _vertex(G, args.other)
+    )
     if same:
         print("equal")
         return PASS
@@ -294,9 +299,7 @@ def _cmd_compare_vertices(args) -> int:
 
 def _cmd_compare_torsors(args) -> int:
     G = _load_graph(args.file)
-    if args.vertex not in G.rotation:
-        raise TorsorError(f"unknown vertex {args.vertex!r}")
-    same, witness = sw.compare_torsors(G, args.vertex)
+    same, witness = sw.compare_torsors(G, _vertex(G, args.vertex))
     if same:
         print("equal")
         return PASS
@@ -340,7 +343,7 @@ def _cmd_search(args) -> int:
 def _cmd_export_dot(args) -> int:
     G = _load_graph(args.file)
     T = _parse_tree(G, args.tree)
-    tour = bernardi_tour(G, args.vertex, args.edge, T)
+    tour = bernardi_tour(G, _vertex(G, args.vertex), args.edge, T)
     lines = ["digraph tour {"]
     for v in G.vertices:
         lines.append(f'  "{v}";')

@@ -1,9 +1,12 @@
 """Divisors, the Laplacian, q-reduced forms, and the Picard group.
 
-A divisor is an integer chip count per vertex, handled as a plain dict
-(missing vertices mean 0).  Canonical class representatives are q-reduced
-divisors computed by a burning (Dhar) procedure; the designated base q is
-the first vertex in file order.
+A divisor is an integer chip count per vertex.  Inside the library it is a
+coefficient tuple in vertex file order; a public function that takes a
+name-keyed Mapping converts it once on entry with ``divisor_to_tuple`` (or
+``class_to_tuple`` for a degree-0 class), and converts back with
+``tuple_to_divisor`` only where its contract returns a dict.  Canonical class
+representatives are q-reduced divisors computed by a burning (Dhar)
+procedure; the designated base q is the first vertex in file order.
 """
 
 from __future__ import annotations
@@ -12,46 +15,54 @@ import json
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from itertools import product
+from typing import Mapping, Sequence
 
-from .errors import MissingVertex, ParseError
+from .errors import DegreeMismatch, MissingVertex, ParseError
 from .ribbon import RibbonGraph
-
-Divisor = dict  # vertex id -> int
 
 COEFF_BOUND = 10**6
 
 
 def divisor_to_tuple(G: RibbonGraph, D: Mapping[str, int]) -> tuple[int, ...]:
-    for v in D:
-        if v not in G.rotation:
-            raise MissingVertex(f"divisor mentions unknown vertex {v!r}")
+    if not D.keys() <= G.rotation.keys():
+        unknown = next(v for v in D if v not in G.rotation)
+        raise MissingVertex(f"divisor mentions unknown vertex {unknown!r}")
     return tuple(int(D.get(v, 0)) for v in G.vertices)
 
 
-def tuple_to_divisor(G: RibbonGraph, t: tuple[int, ...]) -> Divisor:
-    return {v: c for v, c in zip(G.vertices, t)}
+def class_to_tuple(G: RibbonGraph, gamma: Mapping[str, int]) -> tuple[int, ...]:
+    """The coefficients of a degree-0 class: the entry check of both actions
+    and of the duality isomorphism."""
+    dt = divisor_to_tuple(G, gamma)
+    if sum(dt) != 0:
+        raise DegreeMismatch(f"a class must have degree 0, got degree {sum(dt)}")
+    return dt
+
+
+def tuple_to_divisor(G: RibbonGraph, t: tuple[int, ...]) -> dict[str, int]:
+    return dict(zip(G.vertices, t))
 
 
 def degree(D: Mapping[str, int]) -> int:
     return sum(D.values())
 
 
-def add(D1: Mapping[str, int], D2: Mapping[str, int]) -> Divisor:
+def add(D1: Mapping[str, int], D2: Mapping[str, int]) -> dict[str, int]:
     out = dict(D1)
     for v, c in D2.items():
         out[v] = out.get(v, 0) + c
     return out
 
 
-def sub(D1: Mapping[str, int], D2: Mapping[str, int]) -> Divisor:
+def sub(D1: Mapping[str, int], D2: Mapping[str, int]) -> dict[str, int]:
     out = dict(D1)
     for v, c in D2.items():
         out[v] = out.get(v, 0) - c
     return out
 
 
-def parse_divisor(G: RibbonGraph, text: str) -> Divisor:
+def parse_divisor(G: RibbonGraph, text: str) -> dict[str, int]:
     """Parse the JSON divisor format: {vertex: chips, ...}."""
     try:
         obj = json.loads(text)
@@ -59,7 +70,7 @@ def parse_divisor(G: RibbonGraph, text: str) -> Divisor:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("divisor file must be a JSON object")
-    out: Divisor = {}
+    out: dict[str, int] = {}
     for v, c in obj.items():
         if v not in G.rotation:
             raise MissingVertex(f"divisor mentions unknown vertex {v!r}")
@@ -71,7 +82,7 @@ def parse_divisor(G: RibbonGraph, text: str) -> Divisor:
     return out
 
 
-def laplacian_of(G: RibbonGraph, f: Mapping[str, int]) -> Divisor:
+def laplacian_of(G: RibbonGraph, f: Mapping[str, int]) -> dict[str, int]:
     """The Laplacian of the vertex function ``f``, as a degree-0 divisor."""
     for v in G.vertices:
         if v not in f:
@@ -99,7 +110,7 @@ def _bfs_order(G: RibbonGraph, q: str) -> list[str]:
     return order
 
 
-def _burn(G: RibbonGraph, coeff: dict, q: str) -> set:
+def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
     """Dhar's burning from q; returns the set of unburnt vertices."""
     unburnt = set(G.vertices) - {q}
     changed = True
@@ -109,7 +120,7 @@ def _burn(G: RibbonGraph, coeff: dict, q: str) -> set:
             burnt_edges = sum(
                 1 for e in G.incident[v] if G.other_end(e, v) not in unburnt
             )
-            if burnt_edges > coeff[v]:
+            if burnt_edges > coeff[G.vertex_pos(v)]:
                 unburnt.discard(v)
                 changed = True
     return unburnt
@@ -117,28 +128,23 @@ def _burn(G: RibbonGraph, coeff: dict, q: str) -> set:
 
 @lru_cache(maxsize=None)
 def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
-    coeff = {v: c for v, c in zip(G.vertices, dt)}
+    coeff = list(dt)
+    at = G.vertex_pos
     order = _bfs_order(G, q)
-    pos = {v: i for i, v in enumerate(order)}
+    rank = {v: i for i, v in enumerate(order)}
 
     # Bring every vertex except q to a non-negative count, working from the
     # farthest vertex inward: firing the set of strictly closer vertices only
     # adds chips at the vertex being fixed.
     for i in range(len(order) - 1, 0, -1):
-        v = order[i]
-        closer = set(order[:i])
-        while coeff[v] < 0:
-            for w in closer:
-                out = sum(
-                    1
-                    for e in G.incident[w]
-                    if pos[G.other_end(e, w)] >= i
+        while coeff[at(order[i])] < 0:
+            for w in order[:i]:
+                coeff[at(w)] -= sum(
+                    1 for e in G.incident[w] if rank[G.other_end(e, w)] >= i
                 )
-                coeff[w] -= out
-            for j in range(i, len(order)):
-                u = order[j]
-                coeff[u] += sum(
-                    1 for e in G.incident[u] if pos[G.other_end(e, u)] < i
+            for u in order[i:]:
+                coeff[at(u)] += sum(
+                    1 for e in G.incident[u] if rank[G.other_end(e, u)] < i
                 )
 
     # Superstabilize: while some nonempty subset of V - q can fire without
@@ -148,19 +154,20 @@ def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
         if not unburnt:
             break
         for v in unburnt:
-            out = sum(
+            coeff[at(v)] -= sum(
                 1 for e in G.incident[v] if G.other_end(e, v) not in unburnt
             )
-            coeff[v] -= out
         for v in G.vertices:
             if v not in unburnt:
-                coeff[v] += sum(
+                coeff[at(v)] += sum(
                     1 for e in G.incident[v] if G.other_end(e, v) in unburnt
                 )
-    return tuple(coeff[v] for v in G.vertices)
+    return tuple(coeff)
 
 
-def q_reduce(G: RibbonGraph, D: Mapping[str, int], q: str | None = None) -> Divisor:
+def q_reduce(
+    G: RibbonGraph, D: Mapping[str, int], q: str | None = None
+) -> dict[str, int]:
     """The unique q-reduced divisor linearly equivalent to ``D``."""
     if q is None:
         q = G.vertices[0]
@@ -170,18 +177,18 @@ def q_reduce(G: RibbonGraph, D: Mapping[str, int], q: str | None = None) -> Divi
 def is_q_reduced(G: RibbonGraph, D: Mapping[str, int], q: str | None = None) -> bool:
     if q is None:
         q = G.vertices[0]
-    coeff = {v: D.get(v, 0) for v in G.vertices}
-    if any(coeff[v] < 0 for v in G.vertices if v != q):
+    dt = divisor_to_tuple(G, D)
+    if any(c < 0 for v, c in zip(G.vertices, dt) if v != q):
         return False
-    return not _burn(G, coeff, q)
+    return not _burn(G, dt, q)
 
 
 def are_equivalent(G: RibbonGraph, D1: Mapping[str, int], D2: Mapping[str, int]) -> bool:
     """Whether D1 - D2 is a principal divisor."""
-    if degree(D1) != degree(D2):
-        return False
-    diff = divisor_to_tuple(G, sub(D1, D2))
-    return all(c == 0 for c in _q_reduce(G, diff, G.vertices[0]))
+    diff = tuple(
+        a - b for a, b in zip(divisor_to_tuple(G, D1), divisor_to_tuple(G, D2))
+    )
+    return sum(diff) == 0 and not any(_q_reduce(G, diff, G.vertices[0]))
 
 
 def tree_count_determinant(G: RibbonGraph) -> int:
@@ -223,7 +230,12 @@ class PicardGroup:
     def __init__(self, G: RibbonGraph):
         self.graph = G
         self.q = G.vertices[0]
-        self.elements = _picard_elements(G)
+        # A q-reduced degree-0 divisor has 0 <= D(v) < deg(v) for v != q, so
+        # the product of those ranges is a finite search space; the burn test
+        # filters it down to exactly the q-reduced ones.
+        ranges = (range(len(G.incident[v])) for v in G.vertices[1:])
+        candidates = ((-sum(rest),) + rest for rest in product(*ranges))
+        self.elements = tuple(sorted(c for c in candidates if not _burn(G, c, self.q)))
         self.order = len(self.elements)
         self.zero = (0,) * len(G.vertices)
         self._index = {c: i for i, c in enumerate(self.elements)}
@@ -239,40 +251,15 @@ class PicardGroup:
 
     def generators(self) -> dict[str, tuple[int, ...]]:
         """Class of (u) - (q) for each vertex u != q."""
-        out = {}
-        for u in self.graph.vertices[1:]:
-            out[u] = self.class_of({u: 1, self.q: -1})
-        return out
+        G, n = self.graph, len(self.graph.vertices)
+        return {
+            u: _q_reduce(G, tuple((i == k) - (i == 0) for i in range(n)), self.q)
+            for k, u in enumerate(G.vertices)
+            if k
+        }
 
     def contains(self, c: tuple[int, ...]) -> bool:
         return c in self._index
-
-
-@lru_cache(maxsize=None)
-def _picard_elements(G: RibbonGraph) -> tuple[tuple[int, ...], ...]:
-    # A q-reduced degree-0 divisor has 0 <= D(v) < deg(v) for v != q, so the
-    # product of those ranges is a finite search space; the burn test filters
-    # it down to exactly the q-reduced ones.
-    q = G.vertices[0]
-    others = G.vertices[1:]
-    out = []
-
-    def rec(i: int, coeff: dict):
-        if i == len(others):
-            coeff = dict(coeff)
-            coeff[q] = -sum(coeff.values())
-            if not _burn(G, coeff, q):
-                out.append(tuple(coeff[v] for v in G.vertices))
-            return
-        v = others[i]
-        for c in range(len(G.incident[v])):
-            coeff[v] = c
-            rec(i + 1, coeff)
-        del coeff[v]
-
-    rec(0, {})
-    out.sort()
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

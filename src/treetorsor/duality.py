@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import divisors as dv
-from .bernardi import bernardi_act
-from .errors import DegreeMismatch, HasBridge, NotPlanar
+from .bernardi import _act, bernardi_act
+from .errors import HasBridge, NotPlanar
 from .ribbon import Dart, RibbonGraph, trace_faces, tree_path
 
 
@@ -114,19 +114,31 @@ def _chain_for(G: RibbonGraph, D: Mapping[str, int]) -> dict[Dart, int]:
     return chain
 
 
-def boundary(G: RibbonGraph, chain: Mapping[Dart, int]) -> dict:
-    out = {v: 0 for v in G.vertices}
-    for d, c in chain.items():
-        out[G.head(d)] += c
-        out[d.tail] -= c
-    return out
+def _boundary(G: RibbonGraph, chain: Iterable[tuple[Dart, int]]) -> tuple[int, ...]:
+    out = [0] * len(G.vertices)
+    for d, c in chain:
+        out[G.vertex_pos(G.head(d))] += c
+        out[G.vertex_pos(d.tail)] -= c
+    return tuple(out)
+
+
+def boundary(G: RibbonGraph, chain: Mapping[Dart, int]) -> dict[str, int]:
+    return dv.tuple_to_divisor(G, _boundary(G, chain.items()))
+
+
+def _psi(corr: DualCorrespondence, chain: Mapping[Dart, int]) -> tuple[int, ...]:
+    """The q-reduced dual class of the boundary of ``chain`` pushed dart by
+    dart through the dart correspondence."""
+    dual = corr.dual
+    pushed = ((corr.dart_map[d], c) for d, c in chain.items())
+    return dv._q_reduce(dual, _boundary(dual, pushed), dual.vertices[0])
 
 
 def psi_class(
     corr: DualCorrespondence,
     gamma: Mapping[str, int],
     chain: Mapping[Dart, int] | None = None,
-) -> dict:
+) -> dict[str, int]:
     """Image of a degree-0 class under the duality isomorphism.
 
     Lift the class to a 1-chain, push the chain dart-by-dart through the dart
@@ -134,23 +146,17 @@ def psi_class(
     representative of the resulting class.  ``chain`` may supply an explicit
     lift (used to test representative-independence).
     """
-    if dv.degree(gamma) != 0:
-        raise DegreeMismatch("the duality isomorphism acts on degree-0 classes")
+    dv.class_to_tuple(corr.primal, gamma)  # known vertices, degree 0
     if chain is None:
         chain = _chain_for(corr.primal, gamma)
-    dual_chain: dict[Dart, int] = {}
-    for d, c in chain.items():
-        dd = corr.dart_map[d]
-        dual_chain[dd] = dual_chain.get(dd, 0) + c
-    return dv.q_reduce(corr.dual, boundary(corr.dual, dual_chain))
+    return dv.tuple_to_divisor(corr.dual, _psi(corr, chain))
 
 
 def duality_square_check(
     corr: DualCorrespondence, v: str, gamma: Mapping[str, int], T: frozenset
 ) -> bool:
     """Whether acting then dualizing equals dualizing then acting."""
+    dual, q = corr.dual, corr.dual.vertices[0]
     lhs = dual_tree(corr, bernardi_act(corr.primal, v, gamma, T))
-    rhs = bernardi_act(
-        corr.dual, corr.dual.vertices[0], psi_class(corr, gamma), dual_tree(corr, T)
-    )
-    return lhs == rhs
+    psi = _psi(corr, _chain_for(corr.primal, gamma))
+    return lhs == _act(dual, q, dual.rotation[q][0], psi, dual_tree(corr, T))

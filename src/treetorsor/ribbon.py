@@ -244,6 +244,8 @@ def parse_ribbon_graph(text: str) -> RibbonGraph:
         if not (isinstance(eid, str) and isinstance(a, str) and isinstance(b, str)):
             raise ParseError(f"edge ids and endpoints must be strings: {entry!r}")
         edges.append((eid, (a, b)))
+    if not edges:
+        raise ValidationError("empty", "graph has no edges")
     if not isinstance(rotation, dict):
         raise ParseError('"rotation" must be an object')
     missing = set(vertices) - set(rotation)

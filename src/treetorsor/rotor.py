@@ -8,6 +8,7 @@ the cycle reversibility test behind the planarity criterion.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
@@ -57,19 +58,15 @@ def rotor_act(
 ) -> frozenset:
     """The rotor-routing action of the degree-0 class of ``gamma`` on ``T``.
 
-    The v-reduced representative keeps all coefficients away from v small and
-    non-negative, so the action is a short product of single-chip moves; any
-    residual multiple of the group order is dropped, since n copies of a
-    generator act trivially.
+    The v-reduced representative has 0 <= coefficient < deg(u) at every
+    u != v, so the action is at most sum(deg) single-chip moves.
     """
-    n = dv.picard_group(G).order
-    reduced = dv.q_reduce(G, gamma, v)
+    reduced = dv._q_reduce(G, dv.class_to_tuple(G, gamma), v)
     result = T
-    for u in G.vertices:
-        if u == v:
-            continue
-        for _ in range(reduced.get(u, 0) % n):
-            result = rotor_move(G, result, u, v)
+    for u, c in zip(G.vertices, reduced):
+        if u != v:
+            for _ in range(c):
+                result = rotor_move(G, result, u, v)
     return result
 
 
@@ -109,6 +106,26 @@ def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
         raise NotACycle("cycle revisits a vertex")
 
 
+def _unicycle_rotor(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs") -> dict:
+    """Rotors along ``C``, every other vertex pointing at the cycle through a
+    breadth-first ("bfs") or depth-first ("dfs") search from it, file-order ties."""
+    if orientation not in ("bfs", "dfs"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    rotor = {d.tail: d.edge for d in C}
+    seen = set(rotor)
+    pending = deque(v for v in G.vertices if v in seen)
+    take = pending.popleft if orientation == "bfs" else pending.pop
+    while pending:
+        v = take()
+        for e in G.incident[v]:
+            w = G.other_end(e, v)
+            if w not in seen:
+                seen.add(w)
+                rotor[w] = e
+                pending.append(w)
+    return rotor
+
+
 def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs") -> bool:
     """Whether the directed simple cycle ``C`` is reversible.
 
@@ -120,35 +137,8 @@ def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = 
     """
     C = tuple(C)
     _validate_cycle(G, C)
-    on_cycle = {d.tail for d in C}
-    rotor = {d.tail: d.edge for d in C}
-    if orientation == "bfs":
-        frontier = [v for v in G.vertices if v in on_cycle]
-        seen = set(on_cycle)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e in G.incident[v]:
-                    w = G.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        rotor[w] = e
-                        nxt.append(w)
-            frontier = nxt
-    elif orientation == "dfs":
-        seen = set(on_cycle)
-        stack = [v for v in G.vertices if v in on_cycle]
-        while stack:
-            v = stack.pop()
-            for e in G.incident[v]:
-                w = G.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    rotor[w] = e
-                    stack.append(w)
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    chip = min(on_cycle, key=G.vertex_pos)
+    rotor = _unicycle_rotor(G, C, orientation)
+    chip = min((d.tail for d in C), key=G.vertex_pos)
 
     reversed_rotor = dict(rotor)
     for d in C:

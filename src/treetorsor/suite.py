@@ -20,11 +20,10 @@ from . import divisors as dv
 from . import duality as du
 from . import rotor as rt
 from .bernardi import (
+    _alpha,
     bernardi_act,
     bernardi_beta,
     bernardi_tour,
-    alpha_left,
-    alpha_right,
     shift_difference_check,
 )
 from .corpus import rotation_systems
@@ -221,13 +220,12 @@ def _check_break(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     breaks = bk.enumerate_break_divisors(G)
     ok, witness = True, None
     for bd in breaks:
-        rep = bk.break_representative(G, bd.divisor)
-        if rep.divisor != bd.divisor:
+        if bk.break_representative(G, bd.divisor).chips != bd.chips:
             ok, witness = False, {"divisor": bd.divisor}
     report.add("break-representative-identity", name, {}, ok, witness)
 
     ok, witness = True, None
-    keys = {dv._q_reduce(G, bd.coeffs(G), G.vertices[0]) for bd in breaks}
+    keys = {dv._q_reduce(G, bd.chips, G.vertices[0]) for bd in breaks}
     if len(keys) != len(breaks):
         ok, witness = False, {"count": len(breaks), "classes": len(keys)}
     report.add("break-pairwise-inequivalent", name, {}, ok, witness)
@@ -235,18 +233,18 @@ def _check_break(report: SuiteReport, name: str, G: RibbonGraph) -> None:
 
 def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     trees = spanning_trees(G)
-    break_set = {bd.coeffs(G) for bd in bk.enumerate_break_divisors(G)}
+    break_set = {bd.chips for bd in bk.enumerate_break_divisors(G)}
 
     ok, witness = True, None
     for v in G.vertices:
         for e in G.incident[v]:
             image = {}
             for T in trees:
-                beta = bernardi_beta(G, v, e, T)
-                image[beta.coeffs(G)] = T
-                if alpha_right(G, v, e, beta.divisor) != T:
+                beta = bernardi_beta(G, v, e, T).chips
+                image[beta] = T
+                if _alpha(G, v, e, beta, False) != T:
                     ok, witness = False, {"vertex": v, "edge": e, "tree": _tree_key(T)}
-                if alpha_left(G, v, e, beta.divisor) != T:
+                if _alpha(G, v, e, beta, True) != T:
                     ok, witness = False, {"vertex": v, "edge": e, "tree": _tree_key(T)}
             if set(image) != break_set:
                 ok, witness = False, {"vertex": v, "edge": e}
@@ -317,6 +315,8 @@ def _check_torsor_axioms(
     """Identity, additivity on generators, and simple transitivity of an action."""
     trees = spanning_trees(G)
     group = dv.picard_group(G)
+    # the actions under test take name-keyed classes: build each one once
+    classes = [dv.tuple_to_divisor(G, c) for c in group.elements]
     v = G.vertices[0]
 
     ok, witness = True, None
@@ -326,8 +326,7 @@ def _check_torsor_axioms(
 
     # additivity on generators suffices: every class is a sum of generators
     for u, gamma in _generators(G):
-        for c in group.elements:
-            gamma2 = dv.tuple_to_divisor(G, c)
+        for gamma2 in classes:
             combined = dv.add(gamma, gamma2)
             for T in trees:
                 if act(G, v, combined, T) != act(G, v, gamma, act(G, v, gamma2, T)):
@@ -339,7 +338,7 @@ def _check_torsor_axioms(
                     }
 
     for T in trees:
-        image = {act(G, v, dv.tuple_to_divisor(G, c), T) for c in group.elements}
+        image = {act(G, v, gamma, T) for gamma in classes}
         if len(image) != group.order or image != set(trees):
             ok, witness = False, {"axiom": "transitivity", "tree": _tree_key(T)}
     report.add(check, name, {"vertex": v}, ok, witness)
@@ -372,20 +371,7 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
 
     ok, witness = True, None
     for C in rt.simple_cycles(G)[:6]:
-        rotor = {d.tail: d.edge for d in C}
-        reached = set(rotor)
-        while len(reached) < len(G.vertices):
-            for w in G.vertices:
-                if w not in reached:
-                    e = next(
-                        (f for f in G.incident[w] if G.other_end(f, w) in reached),
-                        None,
-                    )
-                    if e is not None:
-                        rotor[w] = e
-                        reached.add(w)
-        chip = C[0].tail
-        states, darts = rt.unicycle_orbit(G, rotor, chip)
+        states, darts = rt.unicycle_orbit(G, rt._unicycle_rotor(G, C), C[0].tail)
         if states[-1] != states[0] or len(set(darts)) != 2 * len(G.edges):
             ok, witness = False, {"cycle": [list(d) for d in C]}
     report.add("unicycle-periodicity", name, {}, ok, witness)
@@ -428,10 +414,9 @@ def _check_duality(
 
     group = dv.picard_group(G)
     dual_group = dv.picard_group(Gd)
-    image = {
-        c: dv.divisor_to_tuple(Gd, du.psi_class(corr, dv.tuple_to_divisor(G, c)))
-        for c in group.elements
-    }
+    # name-keyed classes for the square check and its witness, built once
+    classes = {c: dv.tuple_to_divisor(G, c) for c in group.elements}
+    image = {c: du._psi(corr, du._chain_for(G, gamma)) for c, gamma in classes.items()}
     ok, witness = True, None
     if len(set(image.values())) != group.order or group.order != dual_group.order:
         ok, witness = False, {"order": group.order, "dual_order": dual_group.order}
@@ -454,8 +439,7 @@ def _check_duality(
 
     v = G.vertices[0]
     ok, witness = True, None
-    for c in group.elements:
-        gamma = dv.tuple_to_divisor(G, c)
+    for gamma in classes.values():
         for T in trees:
             if not du.duality_square_check(corr, v, gamma, T):
                 ok, witness = False, {"gamma": gamma, "tree": _tree_key(T)}

@@ -70,6 +70,14 @@ def test_parse_rejects_disconnected():
     with pytest.raises(ValidationError) as exc:
         parse_ribbon_graph(json.dumps(doc))
     assert exc.value.kind == "disconnected"
+    # a graph without edges is rejected at parse time as well
+    for doc in (
+        {"vertices": [], "edges": [], "rotation": {}},
+        {"vertices": ["a"], "edges": [], "rotation": {"a": []}},
+    ):
+        with pytest.raises(ValidationError) as exc:
+            parse_ribbon_graph(json.dumps(doc))
+        assert exc.value.kind == "empty"
 
 
 def test_parse_rejects_bad_json():

@@ -86,6 +86,23 @@ def test_rotor_act_negative_coefficients():
         assert rt.rotor_act(G, "1", neg, rt.rotor_act(G, "1", gamma, T)) == T
 
 
+def test_rotor_act_does_not_use_the_group_order(monkeypatch):
+    # the v-reduced representative already bounds the number of chip moves,
+    # so the action never needs the Picard group
+    def no_group(G):
+        raise AssertionError("rotor_act built the Picard group")
+
+    monkeypatch.setattr(dv, "picard_group", no_group)
+    for G in (corpus.k3(), corpus.k4(), corpus.theta(planar=False)):
+        v = G.vertices[-1]
+        for T in spanning_trees(G):
+            assert rt.rotor_act(G, v, {}, T) == T
+            for u in G.vertices[:-1]:
+                for k in (1, 7):
+                    there = rt.rotor_act(G, v, {u: k, v: -k}, T)
+                    assert rt.rotor_act(G, v, {u: -k, v: k}, there) == T
+
+
 def test_unicycle_periodicity():
     G = corpus.k3()
     rotor = {"1": "a", "2": "b", "3": "c"}

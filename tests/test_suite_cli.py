@@ -1,5 +1,6 @@
 """The theorem suite, the conjecture search, and the command-line surface."""
 
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,23 @@ def test_mirror_dual_fails_square_with_witness():
     squares = [r for r in report.records if r.check == "duality-square"]
     assert squares and not squares[0].ok
     assert "gamma" in squares[0].witness and "tree" in squares[0].witness
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_default_corpus_stream():
+    dump = suite.run_theorem_suite(corpus.default_corpus()).dump()
+    assert len(dump.splitlines()) == 792
+    assert _sha256(dump) == "aeccc74fb1f552c69795e4b7668d52ce369a0bc97f0944224f8570ff33e021dc"
+
+
+def test_golden_mirror_dual_stream():
+    # pins the witness format: full name-keyed classes, zero entries included
+    dump = suite.run_theorem_suite([("k3", corpus.k3())], mirror_dual=True).dump()
+    assert len(dump.splitlines()) == 27
+    assert _sha256(dump) == "4468ec75707e1c2145ad581b5e4500acb2a1d348a560f53dfc775e96168e477e"
 
 
 def test_compare_vertices_planar_vs_not():
@@ -222,3 +240,25 @@ def test_cli_input_errors(k3_file, capsys):
     assert main(["beta", k3_file, "--vertex", "1", "--edge", "a", "--tree", "a,b,c"]) == 2
     assert main(["tour", k3_file, "--vertex", "1", "--edge", "b", "--tree", "a,b"]) == 2
     assert main(["act-bernardi", k3_file, "--vertex", "1", "--class", '{"zz": 1}', "--tree", "a,b"]) == 2
+    capsys.readouterr()
+    tree = ["--tree", "a,b"]
+    cases = [
+        # a class of nonzero degree, for both actions alike
+        ["act-rotor", k3_file, "--vertex", "1", "--class", '{"2": 1}'] + tree,
+        ["act-bernardi", k3_file, "--vertex", "1", "--class", '{"2": 1}'] + tree,
+        ["dual-class", k3_file, "--class", '{"2": 1}'],
+        # unknown vertex arguments
+        ["tour", k3_file, "--vertex", "9", "--edge", "a"] + tree,
+        ["beta", k3_file, "--vertex", "9", "--edge", "a"] + tree,
+        ["alpha-r", k3_file, "--vertex", "9", "--edge", "a", "--divisor", '{"3": 1}'],
+        ["act-rotor", k3_file, "--vertex", "9", "--class", "{}"] + tree,
+        ["check-square", k3_file, "--vertex", "9", "--class", "{}"] + tree,
+        ["rotor-move", k3_file, "--from", "2", "--root", "9"] + tree,
+        ["rotor-move", k3_file, "--from", "9", "--root", "1"] + tree,
+        ["compare-vertices", k3_file, "--vertex", "1", "--other", "9"],
+        ["compare-torsors", k3_file, "--vertex", "9"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
