@@ -3,9 +3,10 @@ induced group action on spanning trees.
 
 The tour is a (vertex, edge) state machine: walk tree edges, cut non-tree
 edges, always continuing with the rotation successor.  One simulation drives
-the forward map, and the two inverse reconstructions replay the same state
-machine against a shrinking graph, deciding walk vs cut with the exact break
-divisor oracle.
+the forward map.  The two inverse reconstructions replay the same state
+machine on G minus the set of edges cut so far, in the rotation G induces
+there, deciding walk vs cut with the exact break divisor oracle on that
+(G, removed) pair.
 """
 
 from __future__ import annotations
@@ -81,40 +82,43 @@ def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivis
 def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> frozenset:
     """Shared body of the two inverse reconstructions.
 
-    Right inverse: start at (v, e), advance by rotation successors, and test
-    cuts by removing a chip at the near endpoint.  Left inverse: start at the
-    rotation predecessor of e, advance by predecessors, and test cuts by
-    removing a chip at the far endpoint.  Deleting edges keeps the vertices,
-    so ``dt`` stays indexed by the file order of ``G`` throughout.
+    The tour runs on G minus the edges cut so far (``removed``), stepping
+    through the rotation of G and skipping removed edges.  An edge is cut when
+    the divisor with one chip fewer is a break divisor of G minus ``removed``
+    and that edge.  Right inverse: start at (v, e), advance by rotation
+    successors, and take the chip from the near endpoint.  Left inverse: start
+    at the rotation predecessor of e, advance by predecessors, and take the
+    chip from the far endpoint.  Cutting keeps the vertices, so ``dt`` stays
+    indexed by the file order of ``G`` throughout.
     """
-    cur = G
+    step = G.prev_edge if left else G.next_edge
+
+    def turn(u: str, f: str) -> str:
+        f = step(u, f)
+        while f in removed:
+            f = step(u, f)
+        return f
+
     tree: set[str] = set()
+    removed: frozenset = frozenset()
     cur_v = v
     cur_e = G.prev_edge(v, e) if left else e
     budget = 4 * len(G.edges) + 4
-    while set(cur.edge_ids) != tree:
+    while len(tree) + len(removed) != len(G.edges):
         budget -= 1
         if budget < 0:
             raise NotBreakDivisor("inverse reconstruction failed to terminate")
-        w = cur.other_end(cur_e, cur_v)
+        w = G.other_end(cur_e, cur_v)
         i = G.vertex_pos(w if left else cur_v)
         trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
-        if (
-            cur_e not in tree
-            and dt[i] > 0
-            and cur.is_connected(without=cur_e)
-            and bk._is_break(cur.delete_edge(cur_e), trial)
-        ):
-            dt = trial
-            nxt = cur.delete_edge(cur_e)
-            # the neighbor of the removed edge in the induced rotation equals
-            # its neighbor in the current rotation
-            cur_e = cur.prev_edge(cur_v, cur_e) if left else cur.next_edge(cur_v, cur_e)
-            cur = nxt
+        cut = removed | {cur_e}
+        if cur_e not in tree and dt[i] > 0 and bk._is_break(G, cut, trial):
+            dt, removed = trial, cut
+            cur_e = turn(cur_v, cur_e)
         else:
             tree.add(cur_e)
             cur_v = w
-            cur_e = cur.prev_edge(w, cur_e) if left else cur.next_edge(w, cur_e)
+            cur_e = turn(w, cur_e)
     result = frozenset(tree)
     if not is_spanning_tree(G, result):
         raise NotBreakDivisor("input divisor is not a break divisor")

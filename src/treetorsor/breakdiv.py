@@ -2,9 +2,11 @@
 
 A break divisor is a non-negative divisor of degree g obtained by placing one
 chip at an endpoint of each non-tree edge, for some spanning tree.  Membership
-is decided by an exact backtracking assignment of non-tree edges to endpoints;
-at desk scale this doubles as the oracle for the inner test of the inverse
-Bernardi algorithms.
+is decided by an exact backtracking assignment of non-tree edges to endpoints.
+The same test answers it for the minor G - R given as the pair (G, removed
+edge set R): the spanning trees of G - R are the trees of G that avoid R, and
+its genus is g - |R|.  That is the inner test of the inverse Bernardi
+algorithms, which never build the minor.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ class BreakDivisor:
     @property
     def divisor(self) -> dict[str, int]:
         return dv.tuple_to_divisor(self.graph, self.chips)
-
-    def coeffs(self, G: RibbonGraph) -> tuple[int, ...]:
-        return self.chips
 
 
 def _match(G: RibbonGraph, demand: list[int], edges: list[str]) -> dict | None:
@@ -66,19 +65,23 @@ def is_compatible(
 
 
 @lru_cache(maxsize=None)
-def _is_break(G: RibbonGraph, dt: tuple[int, ...]) -> bool:
-    if sum(dt) != G.genus_comb or any(c < 0 for c in dt):
+def _is_break(G: RibbonGraph, removed: frozenset, dt: tuple[int, ...]) -> bool:
+    """Whether ``dt`` is a break divisor of G minus the edges ``removed``
+    (False when that minor is disconnected: it has no spanning tree)."""
+    if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
         return False
     demand = list(dt)
     return any(
-        _match(G, demand, [e for e in G.edge_ids if e not in T]) is not None
+        _match(G, demand, [e for e in G.edge_ids if e not in T and e not in removed])
+        is not None
         for T in spanning_trees(G)
+        if T.isdisjoint(removed)
     )
 
 
 def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
     """Whether ``D`` is a T-break divisor for some spanning tree."""
-    return _is_break(G, dv.divisor_to_tuple(G, D))
+    return _is_break(G, frozenset(), dv.divisor_to_tuple(G, D))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from . import divisors as dv
 from .bernardi import _act, bernardi_act
 from .errors import HasBridge, NotPlanar
-from .ribbon import Dart, RibbonGraph, trace_faces, tree_path
+from .ribbon import Dart, RibbonGraph, trace_faces
 
 
 @dataclass(frozen=True)
@@ -92,25 +92,26 @@ def dual_tree(corr: DualCorrespondence, T: frozenset) -> frozenset:
 def _chain_for(G: RibbonGraph, D: Mapping[str, int]) -> dict[Dart, int]:
     """A 1-chain whose boundary (head minus tail per dart) equals ``D``.
 
-    Greedy: repeatedly route one chip from the first vertex in deficit to the
-    first in surplus along the tree path of a breadth-first tree.  Any choice
-    works up to principal divisors.
+    Flow runs along the breadth-first tree from the first vertex: the tree
+    dart into each vertex carries the total of ``D`` over the subtree below
+    it.  Any lift works up to principal divisors.
     """
-    coeff = {v: D.get(v, 0) for v in G.vertices}
+    root = G.vertices[0]
+    parent: dict[str, Dart] = {}
+    order = [root]
+    for u in order:
+        for e in G.incident[u]:
+            w = G.other_end(e, u)
+            if w != root and w not in parent:
+                parent[w] = Dart(e, u)
+                order.append(w)
+    flow = {v: D.get(v, 0) for v in G.vertices}
     chain: dict[Dart, int] = {}
-    # breadth-first spanning tree in file order, for routing
-    from .ribbon import spanning_trees
-
-    T = spanning_trees(G)[0]
-    while True:
-        pos = next((v for v in G.vertices if coeff[v] > 0), None)
-        if pos is None:
-            break
-        neg = next(v for v in G.vertices if coeff[v] < 0)
-        for d in tree_path(G, T, neg, pos):
-            chain[d] = chain.get(d, 0) + 1
-        coeff[pos] -= 1
-        coeff[neg] += 1
+    for w in reversed(order[1:]):
+        d = parent[w]
+        if flow[w]:
+            chain[d] = flow[w]
+        flow[d.tail] += flow[w]
     return chain
 
 

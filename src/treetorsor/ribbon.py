@@ -48,7 +48,6 @@ class RibbonGraph:
         "_pred",
         "_vertex_pos",
         "_edge_pos",
-        "_minors",
         "_hash",
     )
 
@@ -99,7 +98,6 @@ class RibbonGraph:
                 self._succ[(v, e)] = cycle[(i + 1) % k]
                 self._pred[(v, e)] = cycle[(i - 1) % k]
 
-        self._minors: dict[str, RibbonGraph] = {}
         self._hash = hash((self.vertices, self.edges, tuple(sorted(self.rotation.items()))))
 
     # -- identity ---------------------------------------------------------
@@ -161,7 +159,7 @@ class RibbonGraph:
     def edge_pos(self, e: str) -> int:
         return self._edge_pos[e]
 
-    # -- connectivity and minors ------------------------------------------
+    # -- connectivity ------------------------------------------------------
 
     def is_connected(self, without: str | None = None) -> bool:
         if not self.vertices:
@@ -178,18 +176,6 @@ class RibbonGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
-
-    def delete_edge(self, e: str) -> RibbonGraph:
-        """The minor obtained by deleting ``e``, keeping induced rotations."""
-        got = self._minors.get(e)
-        if got is None:
-            got = RibbonGraph(
-                self.vertices,
-                [ed for ed in self.edges if ed[0] != e],
-                {v: [x for x in self.rotation[v] if x != e] for v in self.vertices},
-            )
-            self._minors[e] = got
-        return got
 
     # -- serialization ------------------------------------------------------
 

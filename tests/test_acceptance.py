@@ -57,7 +57,7 @@ def test_criterion_1_counting(verdict):
 def test_criterion_2_bijectivity(verdict):
     start = time.time()
     for name, G in CORPUS:
-        breaks = {bd.coeffs(G): bd.divisor for bd in bk.enumerate_break_divisors(G)}
+        breaks = {bd.chips: bd.divisor for bd in bk.enumerate_break_divisors(G)}
         trees = spanning_trees(G)
         for v in G.vertices:
             for e in G.incident[v]:
@@ -65,13 +65,13 @@ def test_criterion_2_bijectivity(verdict):
                 image = set()
                 for T in trees:
                     beta = bernardi_beta(G, v, e, T)
-                    image.add(beta.coeffs(G))
+                    image.add(beta.chips)
                     assert alpha_left(G, v, e, beta.divisor) == T, (name, v, e)
                 assert image == set(breaks), (name, v, e)
                 # beta inverts alpha_R on every break divisor; alpha_L = alpha_R
                 for key, D in breaks.items():
                     T = alpha_right(G, v, e, D)
-                    assert bernardi_beta(G, v, e, T).coeffs(G) == key, (name, v, e)
+                    assert bernardi_beta(G, v, e, T).chips == key, (name, v, e)
                     assert alpha_left(G, v, e, D) == T, (name, v, e)
     assert time.time() - start < 60
 

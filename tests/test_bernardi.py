@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treetorsor import bernardi
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
@@ -18,7 +19,7 @@ from treetorsor.bernardi import (
     shift_difference_check,
 )
 from treetorsor.errors import NotBreakDivisor, NotIncident
-from treetorsor.ribbon import spanning_trees
+from treetorsor.ribbon import RibbonGraph, spanning_trees
 
 
 def random_graph(seed):
@@ -100,6 +101,29 @@ def test_alpha_rejects_non_break_divisor():
         alpha_right(G, "u", "p", {"u": -1, "v": 3})
 
 
+def test_inverses_build_no_graphs(monkeypatch):
+    # the inverses tour G minus the cut edges in place; no minor is built
+    built = []
+    init = RibbonGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    for G in (corpus.k5(), corpus.theta(planar=True)):
+        v = G.vertices[0]
+        e = G.rotation[v][0]
+        cases = [(T, bernardi_beta(G, v, e, T).divisor) for T in spanning_trees(G)]
+        bernardi._alpha.cache_clear()
+        bk._is_break.cache_clear()
+        monkeypatch.setattr(RibbonGraph, "__init__", counting_init)
+        for T, D in cases:
+            assert alpha_right(G, v, e, D) == T
+            assert alpha_left(G, v, e, D) == T
+        monkeypatch.undo()
+    assert built == []
+
+
 @given(st.integers(0, 300))
 @settings(max_examples=15, deadline=None)
 def test_bijectivity_random(seed):
@@ -110,10 +134,10 @@ def test_bijectivity_random(seed):
     images = set()
     for T in trees:
         beta = bernardi_beta(G, v, e, T)
-        images.add(beta.coeffs(G))
+        images.add(beta.chips)
         assert alpha_right(G, v, e, beta.divisor) == T
         assert alpha_left(G, v, e, beta.divisor) == T
-    assert images == {bd.coeffs(G) for bd in bk.enumerate_break_divisors(G)}
+    assert images == {bd.chips for bd in bk.enumerate_break_divisors(G)}
 
 
 def test_action_identity_and_transitivity_k3():

@@ -64,10 +64,12 @@ def test_dual_trees_biject():
 
 
 def test_boundary_of_chain():
-    G = corpus.k3()
-    D = {"1": -2, "2": 1, "3": 1}
-    chain = du._chain_for(G, D)
-    assert du.boundary(G, chain) == D
+    for G, D in (
+        (corpus.k3(), {"1": -2, "2": 1, "3": 1}),
+        (planar_k4(), {"1": 3, "2": -1, "3": 0, "4": -2}),
+    ):
+        chain = du._chain_for(G, D)
+        assert du.boundary(G, chain) == D
 
 
 def test_psi_requires_degree_zero():

@@ -205,12 +205,3 @@ def test_dart_reverse():
         assert G.reverse(G.reverse(d)) == d
         assert G.head(d) == G.reverse(d).tail
 
-
-def test_delete_edge_keeps_induced_rotation():
-    G = corpus.theta(planar=True)
-    H = G.delete_edge("q")
-    assert H.edge_ids == ("p", "r")
-    assert H.rotation["u"] == ("p", "r")
-    assert H.rotation["v"] == ("r", "p")
-    # cached minor is reused
-    assert G.delete_edge("q") is H

@@ -68,6 +68,13 @@ def test_golden_mirror_dual_stream():
     assert _sha256(dump) == "4468ec75707e1c2145ad581b5e4500acb2a1d348a560f53dfc775e96168e477e"
 
 
+def test_golden_k4_search_stream():
+    # the records `treetorsor search` prints for K4, one JSON line per system
+    report = suite.search_conjecture(corpus.k4())
+    dump = "\n".join(json.dumps(r, sort_keys=True) for r in report["systems"])
+    assert _sha256(dump) == "8ff74ccce7db9efd411cfbb7012a6e2d3b603af413f55f3d60d8e26472ff620f"
+
+
 def test_compare_vertices_planar_vs_not():
     same, witness = suite.compare_bernardi_vertices(corpus.theta(True), "u", "v")
     assert same and witness is None
