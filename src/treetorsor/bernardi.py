@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 from . import breakdiv as bk
 from . import divisors as dv
 from .errors import NotBreakDivisor, NotIncident
-from .ribbon import RibbonGraph, is_spanning_tree, spanning_trees
+from .ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
 
 
 class TourStep(NamedTuple):
@@ -190,30 +190,11 @@ def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> Vert
         arc_i = tuple(cycle[(i1 + j) % k] for j in range((i2 - i1) % k))
         arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
 
-    # component of each vertex in T - v
-    comp: dict[str, int] = {}
-    cid = 0
-    for u in G.vertices:
-        if u == v or u in comp:
-            continue
-        stack = [u]
-        comp[u] = cid
-        while stack:
-            x = stack.pop()
-            for f in G.incident[x]:
-                if f not in T:
-                    continue
-                y = G.other_end(f, x)
-                if y != v and y not in comp:
-                    comp[y] = cid
-                    stack.append(y)
-        cid += 1
+    # the components of T - v entered through the arc's tree edges
+    forest = T.difference(G.incident[v])
 
     def side(arc: tuple[str, ...]) -> frozenset:
-        comps = {
-            comp[G.other_end(f, v)] for f in arc if f in T
-        }
-        return frozenset(u for u, c in comp.items() if c in comps)
+        return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))
 
     return VertexSplit(arc_i, arc_j, side(arc_i), side(arc_j))
 

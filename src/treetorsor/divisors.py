@@ -12,14 +12,12 @@ procedure; the designated base q is the first vertex in file order.
 from __future__ import annotations
 
 import json
-from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, MissingVertex, ParseError
-from .ribbon import RibbonGraph
+from .ribbon import RibbonGraph, reach
 
 COEFF_BOUND = 10**6
 
@@ -95,21 +93,6 @@ def laplacian_of(G: RibbonGraph, f: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
-def _bfs_order(G: RibbonGraph, q: str) -> list[str]:
-    order = [q]
-    seen = {q}
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for e in G.incident[v]:
-            w = G.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order
-
-
 def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
     """Dhar's burning from q; returns the set of unburnt vertices."""
     unburnt = set(G.vertices) - {q}
@@ -130,7 +113,7 @@ def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
 def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     coeff = list(dt)
     at = G.vertex_pos
-    order = _bfs_order(G, q)
+    order = list(reach(G, [q]))
     rank = {v: i for i, v in enumerate(order)}
 
     # Bring every vertex except q to a non-negative count, working from the
@@ -192,32 +175,30 @@ def are_equivalent(G: RibbonGraph, D1: Mapping[str, int], D2: Mapping[str, int])
 
 
 def tree_count_determinant(G: RibbonGraph) -> int:
-    """Kirchhoff count: determinant of the reduced Laplacian, exact."""
+    """Kirchhoff count: determinant of the reduced Laplacian, by fraction-free
+    (Bareiss) elimination, so every entry stays an exact integer."""
     idx = {v: i for i, v in enumerate(G.vertices[1:])}
     n = len(idx)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for _, (a, b) in G.edges:
         for v, w in ((a, b), (b, a)):
             if v in idx:
                 mat[idx[v]][idx[v]] += 1
                 if w in idx:
                     mat[idx[v]][idx[w]] -= 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
+    # The matrix is positive semidefinite: a zero pivot means a zero
+    # determinant (G is disconnected), so no row swap is ever needed.
+    prev = 1
+    for k in range(n):
+        top, p = mat[k], mat[k][k]
+        if not p:
             return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] / mat[col][col]
-            if factor:
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
-    return int(det)
+        for row in mat[k + 1 :]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (p * row[c] - f * top[c]) // prev
+        prev = p
+    return prev
 
 
 class PicardGroup:
@@ -238,7 +219,6 @@ class PicardGroup:
         self.elements = tuple(sorted(c for c in candidates if not _burn(G, c, self.q)))
         self.order = len(self.elements)
         self.zero = (0,) * len(G.vertices)
-        self._index = {c: i for i, c in enumerate(self.elements)}
 
     def class_of(self, D: Mapping[str, int]) -> tuple[int, ...]:
         return _q_reduce(self.graph, divisor_to_tuple(self.graph, D), self.q)
@@ -257,9 +237,6 @@ class PicardGroup:
             for k, u in enumerate(G.vertices)
             if k
         }
-
-    def contains(self, c: tuple[int, ...]) -> bool:
-        return c in self._index
 
 
 @lru_cache(maxsize=None)

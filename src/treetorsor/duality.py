@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from . import divisors as dv
 from .bernardi import _act, bernardi_act
 from .errors import HasBridge, NotPlanar
-from .ribbon import Dart, RibbonGraph, trace_faces
+from .ribbon import Dart, RibbonGraph, reach, trace_faces
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,11 @@ def _chain_for(G: RibbonGraph, D: Mapping[str, int]) -> dict[Dart, int]:
     dart into each vertex carries the total of ``D`` over the subtree below
     it.  Any lift works up to principal divisors.
     """
-    root = G.vertices[0]
-    parent: dict[str, Dart] = {}
-    order = [root]
-    for u in order:
-        for e in G.incident[u]:
-            w = G.other_end(e, u)
-            if w != root and w not in parent:
-                parent[w] = Dart(e, u)
-                order.append(w)
+    parent = reach(G, G.vertices[:1])
     flow = {v: D.get(v, 0) for v in G.vertices}
     chain: dict[Dart, int] = {}
-    for w in reversed(order[1:]):
-        d = parent[w]
+    for w in reversed(list(parent)[1:]):
+        d = Dart(parent[w], G.other_end(parent[w], w))
         if flow[w]:
             chain[d] = flow[w]
         flow[d.tail] += flow[w]

@@ -10,10 +10,11 @@ input).
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EdgeInTree, ParseError, ValidationError
 
@@ -47,7 +48,6 @@ class RibbonGraph:
         "_succ",
         "_pred",
         "_vertex_pos",
-        "_edge_pos",
         "_hash",
     )
 
@@ -63,11 +63,10 @@ class RibbonGraph:
         self.ends = {eid: pair for eid, pair in self.edges}
         self.edge_ids = tuple(eid for eid, _ in self.edges)
         self._vertex_pos = {v: i for i, v in enumerate(self.vertices)}
-        self._edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
 
         if len(self._vertex_pos) != len(self.vertices):
             raise ValidationError("duplicate-id", "duplicate vertex identifier")
-        if len(self._edge_pos) != len(self.edge_ids):
+        if len(set(self.edge_ids)) != len(self.edge_ids):
             raise ValidationError("duplicate-id", "duplicate edge identifier")
         for eid, (a, b) in self.edges:
             if a == b:
@@ -156,26 +155,11 @@ class RibbonGraph:
     def vertex_pos(self, v: str) -> int:
         return self._vertex_pos[v]
 
-    def edge_pos(self, e: str) -> int:
-        return self._edge_pos[e]
-
     # -- connectivity ------------------------------------------------------
 
     def is_connected(self, without: str | None = None) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for e in self.incident[v]:
-                if e == without:
-                    continue
-                w = self.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        edges = None if without is None else set(self.edge_ids) - {without}
+        return len(reach(self, self.vertices[:1], edges)) == len(self.vertices)
 
     # -- serialization ------------------------------------------------------
 
@@ -317,30 +301,41 @@ def is_spanning_tree(G: RibbonGraph, T: frozenset) -> bool:
     return all(uf.union(*G.ends[e]) for e in T)
 
 
+def reach(
+    G: RibbonGraph,
+    sources: Iterable[str],
+    edges: Container[str] | None = None,
+    lifo: bool = False,
+) -> dict[str, str | None]:
+    """The vertices reachable from ``sources`` through ``edges`` (all edges
+    when None), in discovery order, each mapped to the edge it was first
+    reached by (None for a source).
+
+    The search is breadth-first, or newest-first with ``lifo``; a vertex is
+    marked when discovered and ``G.incident[v]`` is scanned in file order.
+    """
+    found: dict[str, str | None] = dict.fromkeys(sources)
+    pending = deque(found)
+    take = pending.pop if lifo else pending.popleft
+    while pending:
+        v = take()
+        for e in G.incident[v]:
+            if edges is None or e in edges:
+                w = G.other_end(e, v)
+                if w not in found:
+                    found[w] = e
+                    pending.append(w)
+    return found
+
+
 def tree_path(G: RibbonGraph, T: frozenset, start: str, goal: str) -> list[Dart]:
     """The unique path in ``T`` from ``start`` to ``goal`` as a dart sequence."""
-    prev: dict[str, Dart] = {}
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for e in G.incident[v]:
-            if e not in T:
-                continue
-            w = G.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                prev[w] = Dart(e, v)
-                stack.append(w)
+    parent = reach(G, [goal], T)
     path: list[Dart] = []
-    v = goal
-    while v != start:
-        d = prev[v]
-        path.append(d)
-        v = d.tail
-    path.reverse()
+    v = start
+    while v != goal:
+        path.append(Dart(parent[v], v))
+        v = G.other_end(parent[v], v)
     return path
 
 

@@ -8,23 +8,19 @@ the cycle reversibility test behind the planarity criterion.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
 from . import divisors as dv
 from .errors import ChipAtSink, NotACycle
-from .ribbon import Dart, RibbonGraph, _UnionFind, is_spanning_tree, tree_path
+from .ribbon import Dart, RibbonGraph, is_spanning_tree, reach
 
 
 def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
     """Each non-root vertex points along its unique tree path toward the root."""
-    out = {}
-    for z in G.vertices:
-        if z != root:
-            out[z] = tree_path(G, T, z, root)[0].edge
-    return out
+    parent = reach(G, [root], T)
+    return {z: parent[z] for z in G.vertices if z != root}
 
 
 def rotor_step(G: RibbonGraph, rotor: Mapping[str, str], chip: str) -> tuple[dict, str]:
@@ -112,17 +108,10 @@ def _unicycle_rotor(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs
     if orientation not in ("bfs", "dfs"):
         raise ValueError(f"unknown orientation {orientation!r}")
     rotor = {d.tail: d.edge for d in C}
-    seen = set(rotor)
-    pending = deque(v for v in G.vertices if v in seen)
-    take = pending.popleft if orientation == "bfs" else pending.pop
-    while pending:
-        v = take()
-        for e in G.incident[v]:
-            w = G.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                rotor[w] = e
-                pending.append(w)
+    tails = [v for v in G.vertices if v in rotor]
+    for w, e in reach(G, tails, lifo=orientation == "dfs").items():
+        if e is not None:
+            rotor[w] = e
     return rotor
 
 
@@ -163,12 +152,11 @@ def simple_cycles(G: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
                 deg[b] = deg.get(b, 0) + 1
             if any(c != 2 for c in deg.values()):
                 continue
-            uf = _UnionFind(deg)
-            if sum(0 if uf.union(*G.ends[e]) else 1 for e in combo) != 1:
-                continue
-            # orient: walk from the first endpoint of the first edge
+            # connected, then orient: walk from the first endpoint of the first edge
             e0 = combo[0]
             start = G.ends[e0][0]
+            if len(reach(G, [start], combo)) != len(deg):
+                continue
             darts = [Dart(e0, start)]
             used = {e0}
             v = G.other_end(e0, start)

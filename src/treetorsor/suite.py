@@ -27,7 +27,7 @@ from .bernardi import (
     shift_difference_check,
 )
 from .corpus import rotation_systems
-from .errors import NotSimple
+from .errors import HasBridge, NotPlanar, NotSimple
 from .ribbon import (
     RibbonGraph,
     face_successor,
@@ -394,13 +394,11 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
 def _check_duality(
     report: SuiteReport, name: str, G: RibbonGraph, mirror_dual: bool = False
 ) -> None:
-    fd = trace_faces(G)
-    if fd.topological_genus != 0:
+    try:
+        corr = du.dual_graph(G, mirror=mirror_dual)
+    except (NotPlanar, HasBridge):
         return
-    if any(not G.is_connected(without=e) for e in G.edge_ids):
-        return
-    corr = du.dual_graph(G, mirror=mirror_dual)
-    Gd = corr.dual
+    fd, Gd = trace_faces(G), corr.dual
     dual_fd = trace_faces(Gd)
     report.add(
         "euler-duality",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor.errors import MissingVertex, ParseError
-from treetorsor.ribbon import spanning_trees
+from treetorsor.ribbon import RibbonGraph, spanning_trees
 
 
 def random_graph(seed):
@@ -81,6 +81,13 @@ def test_equivalence_via_laplacian(seed):
     assert not dv.are_equivalent(G, D, bumped)
 
 
+def simple_graph(vertices, pairs):
+    """A ribbon graph on ``pairs``, each rotation in incidence order."""
+    edges = [(f"e{i}", pair) for i, pair in enumerate(pairs)]
+    rotation = {v: [e for e, pair in edges if v in pair] for v in vertices}
+    return RibbonGraph(vertices, edges, rotation)
+
+
 def test_kirchhoff_small_values():
     # frozen: known tree counts
     assert dv.tree_count_determinant(corpus.k3()) == 3
@@ -89,6 +96,29 @@ def test_kirchhoff_small_values():
     assert dv.tree_count_determinant(corpus.k33()) == 81
     assert dv.tree_count_determinant(corpus.banana4()) == 4
     assert dv.tree_count_determinant(corpus.path3()) == 1
+    disconnected = simple_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    assert dv.tree_count_determinant(disconnected) == 0
+
+
+def test_kirchhoff_closed_forms():
+    for n in range(2, 11):
+        vs = [str(i) for i in range(n)]
+        K = simple_graph(vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]])
+        assert dv.tree_count_determinant(K) == n ** (n - 2)  # Cayley
+    for m in range(1, 6):
+        for n in range(1, 6):
+            left = [f"a{i}" for i in range(m)]
+            right = [f"b{j}" for j in range(n)]
+            K = simple_graph(left + right, [(a, b) for a in left for b in right])
+            assert dv.tree_count_determinant(K) == m ** (n - 1) * n ** (m - 1)
+
+
+def test_kirchhoff_grid_10x10():
+    name = lambda r, c: f"{r},{c}"
+    pairs = [(name(r, c), name(r, c + 1)) for r in range(10) for c in range(9)]
+    pairs += [(name(r, c), name(r + 1, c)) for r in range(9) for c in range(10)]
+    grid = simple_graph([name(r, c) for r in range(10) for c in range(10)], pairs)
+    assert dv.tree_count_determinant(grid) == 5694319004079097795957215725765328371712000
 
 
 @given(st.integers(0, 300))

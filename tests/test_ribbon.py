@@ -13,7 +13,9 @@ from treetorsor.ribbon import (
     face_successor,
     fundamental_cycle,
     is_spanning_tree,
+    _UnionFind,
     parse_ribbon_graph,
+    reach,
     spanning_trees,
     trace_faces,
     tree_path,
@@ -170,6 +172,31 @@ def test_spanning_trees_are_trees(seed):
     for T in trees:
         assert is_spanning_tree(G, T)
         assert len(T) == len(G.vertices) - 1
+
+
+@given(st.integers(0, 200), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_reach_is_the_component_of_the_sources(seed, pick):
+    G = random_graph(seed)
+    rng = random.Random(pick)
+    allowed = {e for e in G.edge_ids if rng.random() < 0.5}
+    sources = rng.sample(G.vertices, rng.randint(1, len(G.vertices)))
+    uf = _UnionFind(G.vertices)
+    for e in allowed:
+        uf.union(*G.ends[e])
+    roots = {uf.find(s) for s in sources}
+
+    found = reach(G, sources, allowed)
+    assert set(found) == {v for v in G.vertices if uf.find(v) in roots}
+    order = list(found)
+    assert order[: len(sources)] == sources
+    for i, (v, e) in enumerate(found.items()):
+        if i < len(sources):
+            assert e is None
+        else:
+            assert e in allowed and G.other_end(e, v) in order[:i]
+    assert set(reach(G, sources, allowed, lifo=True)) == set(found)
+    assert set(reach(G, sources)) == set(G.vertices)
 
 
 def test_tree_path_endpoints():

@@ -9,7 +9,7 @@ from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
 from treetorsor.errors import ChipAtSink, NotACycle
-from treetorsor.ribbon import Dart, is_spanning_tree, spanning_trees, trace_faces
+from treetorsor.ribbon import Dart, is_spanning_tree, spanning_trees, trace_faces, tree_path
 
 
 def random_graph(seed):
@@ -21,6 +21,18 @@ def test_rotors_from_tree_point_at_root():
     T = frozenset({"e12", "e13", "e14"})
     rotor = rt.rotors_from_tree(G, T, "1")
     assert rotor == {"2": "e12", "3": "e13", "4": "e14"}
+
+
+def test_rotors_from_tree_matches_tree_paths():
+    # reference: each vertex's first edge on its own tree path to the root
+    for G in (corpus.theta(), corpus.k4(), corpus.k5(), corpus.k33()):
+        for T in spanning_trees(G):
+            for root in G.vertices:
+                expected = {
+                    z: tree_path(G, T, z, root)[0].edge for z in G.vertices if z != root
+                }
+                got = rt.rotors_from_tree(G, T, root)
+                assert list(got.items()) == list(expected.items())
 
 
 def test_rotor_step():
