@@ -143,7 +143,7 @@ def _act(
 ) -> frozenset:
     beta = bernardi_beta(G, v, e, T)
     target = tuple(a + b for a, b in zip(beta.chips, gamma))
-    rep = bk._representative_table(G)[dv._q_reduce(G, target, G.vertices[0])]
+    rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
     return _alpha(G, v, e, rep.chips, False)
 
 

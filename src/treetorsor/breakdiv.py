@@ -7,6 +7,12 @@ The same test answers it for the minor G - R given as the pair (G, removed
 edge set R): the spanning trees of G - R are the trees of G that avoid R, and
 its genus is g - |R|.  That is the inner test of the inverse Bernardi
 algorithms, which never build the minor.
+
+The break divisor in a degree-g class is read off an orientation in which
+every vertex is reachable from q, reached by path and cut reversals, in time
+polynomial in the graph.  Enumerating every break divisor (one per tree and
+endpoint choice) is the exhaustive oracle that tests and counting checks
+compare it with.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import divisors as dv
-from .errors import DegreeMismatch, UniquenessViolation
-from .ribbon import RibbonGraph, spanning_trees
+from .errors import DegreeMismatch
+from .ribbon import RibbonGraph, reach, spanning_trees
 
 
 @dataclass(frozen=True)
@@ -109,19 +115,58 @@ def enumerate_break_divisors(G: RibbonGraph) -> list[BreakDivisor]:
     return list(_enumerate(G))
 
 
-@lru_cache(maxsize=None)
-def _representative_table(G: RibbonGraph) -> dict[tuple[int, ...], BreakDivisor]:
-    """q-reduced class representative -> the unique break divisor in that class."""
+def _open_cuts(G: RibbonGraph, heads: dict[str, str], into_q: bool) -> dict:
+    """Reverse directed cuts of the orientation ``heads`` until every vertex
+    has a directed path to q (``into_q``) or from q; return the final search
+    from q.  Every edge across the cut of the vertices found so far points
+    the same way, so reversing them all fires one side and keeps the class.
+    """
     q = G.vertices[0]
-    table: dict[tuple[int, ...], BreakDivisor] = {}
-    for bd in _enumerate(G):
-        key = dv._q_reduce(G, bd.chips, q)
-        if key in table:
-            raise UniquenessViolation(
-                f"two break divisors in one class: {table[key].divisor} and {bd.divisor}"
-            )
-        table[key] = bd
-    return table
+    while True:
+        arrows = {e: G.other_end(e, h) for e, h in heads.items()} if into_q else heads
+        found = reach(G, [q], heads=arrows)
+        if len(found) == len(G.vertices):
+            return found
+        for e, (a, b) in G.edges:
+            if (a in found) != (b in found):
+                heads[e] = a if (a in found) == into_q else b
+
+
+@lru_cache(maxsize=None)
+def _break_rep(G: RibbonGraph, key: tuple[int, ...]) -> BreakDivisor:
+    """The break divisor in the class whose q-reduced form is ``key``.
+
+    For an orientation in which every vertex is reachable from q, the
+    in-degree minus one plus (q) is a break divisor, and every break divisor
+    arises so (An, Baker, Kuperberg, Shokrieh).  Start from a search tree
+    oriented away from q, q-reduce the difference to ``key``, and move its
+    chips one at a time from q to v by reversing a directed path from v to
+    q, after reversing directed cuts until such a path exists.  The
+    out-arborescence of the last search from q witnesses the result.
+    """
+    q = G.vertices[0]
+    heads = {e: b for e, (_, b) in G.edges}
+    for w, e in reach(G, [q]).items():
+        if e is not None:
+            heads[e] = w
+
+    def chips() -> tuple[int, ...]:
+        out = [0] + [-1] * (len(G.vertices) - 1)
+        for h in heads.values():
+            out[G.vertex_pos(h)] += 1
+        return tuple(out)
+
+    start = chips()
+    moves = dv._q_reduce(G, tuple(k - b for k, b in zip(key, start)), q)
+    for v, count in zip(G.vertices[1:], moves[1:]):
+        for _ in range(count):
+            found = _open_cuts(G, heads, True)
+            u = v
+            while u != q:
+                e = found[u]
+                u, heads[e] = heads[e], u
+    found = _open_cuts(G, heads, False)
+    return BreakDivisor(G, chips(), frozenset(e for e in found.values() if e is not None))
 
 
 def break_representative(G: RibbonGraph, D: Mapping[str, int]) -> BreakDivisor:
@@ -129,8 +174,4 @@ def break_representative(G: RibbonGraph, D: Mapping[str, int]) -> BreakDivisor:
     dt = dv.divisor_to_tuple(G, D)
     if sum(dt) != G.genus_comb:
         raise DegreeMismatch(f"class has degree {sum(dt)}, expected {G.genus_comb}")
-    key = dv._q_reduce(G, dt, G.vertices[0])
-    table = _representative_table(G)
-    if key not in table:
-        raise UniquenessViolation("no break divisor in the given class")
-    return table[key]
+    return _break_rep(G, dv._q_reduce(G, dt, G.vertices[0]))

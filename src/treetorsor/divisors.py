@@ -17,7 +17,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, MissingVertex, ParseError
-from .ribbon import RibbonGraph, reach
+from .ribbon import RibbonGraph
 
 COEFF_BOUND = 10**6
 
@@ -94,57 +94,63 @@ def laplacian_of(G: RibbonGraph, f: Mapping[str, int]) -> dict[str, int]:
 
 
 def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
-    """Dhar's burning from q; returns the set of unburnt vertices."""
-    unburnt = set(G.vertices) - {q}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(unburnt):
-            burnt_edges = sum(
-                1 for e in G.incident[v] if G.other_end(e, v) not in unburnt
-            )
-            if burnt_edges > coeff[G.vertex_pos(v)]:
-                unburnt.discard(v)
-                changed = True
+    """Dhar's burning from q; returns the set of unburnt vertices.
+
+    A vertex catches fire once more edges join it to burnt vertices than it
+    holds chips, so one burning vertex is checked against each neighbour.
+    """
+    at = G.vertex_pos
+    burning = [q] + [v for v in G.vertices if v != q and coeff[at(v)] < 0]
+    unburnt = set(G.vertices).difference(burning)
+    heat = dict.fromkeys(unburnt, 0)
+    while burning:
+        v = burning.pop()
+        for e in G.incident[v]:
+            w = G.other_end(e, v)
+            if w in unburnt:
+                heat[w] += 1
+                if heat[w] > coeff[at(w)]:
+                    unburnt.discard(w)
+                    burning.append(w)
     return unburnt
+
+
+def _fire(G: RibbonGraph, coeff: list[int], x: Mapping[str, int]) -> None:
+    """Fire each vertex v x[v] times (0 where absent): subtract L x."""
+    at = G.vertex_pos
+    for _, (a, b) in G.edges:
+        flow = x.get(a, 0) - x.get(b, 0)
+        coeff[at(a)] -= flow
+        coeff[at(b)] += flow
 
 
 @lru_cache(maxsize=None)
 def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     coeff = list(dt)
     at = G.vertex_pos
-    order = list(reach(G, [q]))
-    rank = {v: i for i, v in enumerate(order)}
+    rest = [v for v in G.vertices if v != q]
+    deg = [len(G.incident[v]) for v in rest]
 
-    # Bring every vertex except q to a non-negative count, working from the
-    # farthest vertex inward: firing the set of strictly closer vertices only
-    # adds chips at the vertex being fixed.
-    for i in range(len(order) - 1, 0, -1):
-        while coeff[at(order[i])] < 0:
-            for w in order[:i]:
-                coeff[at(w)] -= sum(
-                    1 for e in G.incident[w] if rank[G.other_end(e, w)] >= i
-                )
-            for u in order[i:]:
-                coeff[at(u)] += sum(
-                    1 for e in G.incident[u] if rank[G.other_end(e, u)] < i
-                )
+    # Unless every vertex except q already holds between 0 and 2 deg(v) - 1
+    # chips, jump there in one firing (Baker-Shokrieh): firing
+    # x = floor(L_q^-1 (D - deg)) leaves deg + L_q (a vector in [0, 1)) off q,
+    # which lies in [1, 2 deg(v) - 1] whatever the size of D.
+    if any(not 0 <= coeff[at(v)] < 2 * d for v, d in zip(rest, deg)):
+        det, scaled = _solve_reduced(G, q, [coeff[at(v)] - d for v, d in zip(rest, deg)])
+        _fire(G, coeff, dict(zip(rest, (s // det for s in scaled))))
 
     # Superstabilize: while some nonempty subset of V - q can fire without
-    # going negative, fire the maximal such set (the unburnt set).
+    # going negative, fire the maximal such set (the unburnt set), as many
+    # times as its poorest vertex allows.
     while True:
         unburnt = _burn(G, coeff, q)
         if not unburnt:
             break
-        for v in unburnt:
-            coeff[at(v)] -= sum(
-                1 for e in G.incident[v] if G.other_end(e, v) not in unburnt
-            )
-        for v in G.vertices:
-            if v not in unburnt:
-                coeff[at(v)] += sum(
-                    1 for e in G.incident[v] if G.other_end(e, v) in unburnt
-                )
+        out = (
+            (v, sum(1 for e in G.incident[v] if G.other_end(e, v) not in unburnt))
+            for v in unburnt
+        )
+        _fire(G, coeff, dict.fromkeys(unburnt, min(coeff[at(v)] // k for v, k in out if k)))
     return tuple(coeff)
 
 
@@ -174,12 +180,16 @@ def are_equivalent(G: RibbonGraph, D1: Mapping[str, int], D2: Mapping[str, int])
     return sum(diff) == 0 and not any(_q_reduce(G, diff, G.vertices[0]))
 
 
-def tree_count_determinant(G: RibbonGraph) -> int:
-    """Kirchhoff count: determinant of the reduced Laplacian, by fraction-free
-    (Bareiss) elimination, so every entry stays an exact integer."""
-    idx = {v: i for i, v in enumerate(G.vertices[1:])}
+def _solve_reduced(G: RibbonGraph, q: str, rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """Solve L_q x = rhs for the reduced Laplacian L_q (the Laplacian without
+    the row and column of q) by fraction-free (Bareiss) elimination, so every
+    entry stays an exact integer.  Returns det L_q and det * x, which is an
+    integer vector by Cramer's rule; the determinant is 0 (and the vector
+    empty) when G is disconnected.
+    """
+    idx = {v: i for i, v in enumerate(v for v in G.vertices if v != q)}
     n = len(idx)
-    mat = [[0] * n for _ in range(n)]
+    mat = [[0] * n + [r] for r in rhs]
     for _, (a, b) in G.edges:
         for v, w in ((a, b), (b, a)):
             if v in idx:
@@ -192,13 +202,25 @@ def tree_count_determinant(G: RibbonGraph) -> int:
     for k in range(n):
         top, p = mat[k], mat[k][k]
         if not p:
-            return 0
+            return 0, []
         for row in mat[k + 1 :]:
             f = row[k]
-            for c in range(k + 1, n):
+            for c in range(k + 1, n + 1):
                 row[c] = (p * row[c] - f * top[c]) // prev
         prev = p
-    return prev
+    # Each eliminated row is still an equation of the system, and det * x is
+    # integral, so back substitution divides exactly.
+    scaled = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = mat[i]
+        acc = prev * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = acc // row[i]
+    return prev, scaled
+
+
+def tree_count_determinant(G: RibbonGraph) -> int:
+    """Kirchhoff count: the determinant of the reduced Laplacian."""
+    return _solve_reduced(G, G.vertices[0], [0] * (len(G.vertices) - 1))[0]
 
 
 class PicardGroup:

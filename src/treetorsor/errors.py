@@ -31,10 +31,6 @@ class DegreeMismatch(TorsorError):
     """A divisor has the wrong degree (or a negative coefficient) for the operation."""
 
 
-class UniquenessViolation(TorsorError):
-    """Zero or several break divisors found in a class that must contain exactly one."""
-
-
 class EdgeInTree(TorsorError):
     """Fundamental cycles are only defined for non-tree edges."""
 

@@ -306,6 +306,7 @@ def reach(
     sources: Iterable[str],
     edges: Container[str] | None = None,
     lifo: bool = False,
+    heads: Mapping[str, str] | None = None,
 ) -> dict[str, str | None]:
     """The vertices reachable from ``sources`` through ``edges`` (all edges
     when None), in discovery order, each mapped to the edge it was first
@@ -313,6 +314,8 @@ def reach(
 
     The search is breadth-first, or newest-first with ``lifo``; a vertex is
     marked when discovered and ``G.incident[v]`` is scanned in file order.
+    With an orientation ``heads`` (edge -> its head), an edge is only crossed
+    from its tail to its head.
     """
     found: dict[str, str | None] = dict.fromkeys(sources)
     pending = deque(found)
@@ -322,7 +325,7 @@ def reach(
         for e in G.incident[v]:
             if edges is None or e in edges:
                 w = G.other_end(e, v)
-                if w not in found:
+                if w not in found and (heads is None or heads[e] == w):
                     found[w] = e
                     pending.append(w)
     return found

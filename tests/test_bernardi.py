@@ -9,6 +9,7 @@ from treetorsor import bernardi
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
+from treetorsor import duality as du
 from treetorsor.bernardi import (
     alpha_left,
     alpha_right,
@@ -19,11 +20,39 @@ from treetorsor.bernardi import (
     shift_difference_check,
 )
 from treetorsor.errors import NotBreakDivisor, NotIncident
-from treetorsor.ribbon import RibbonGraph, spanning_trees
+from treetorsor.ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
 
 
 def random_graph(seed):
     return corpus.random_multigraph(random.Random(seed))
+
+
+def complete_graph(n):
+    """K_n, each rotation in incidence order."""
+    vs = [str(i) for i in range(1, n + 1)]
+    edges = [(f"e{a}_{b}", (a, b)) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+    rotation = {v: [e for e, pair in edges if v in pair] for v in vs}
+    return RibbonGraph(vs, edges, rotation)
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, planar: east, north, west, south around each vertex."""
+    name = lambda i, j: f"{i},{j}"
+    edges = [(f"h{i},{j}", (name(i, j), name(i, j + 1)))
+             for i in range(rows) for j in range(cols - 1)]
+    edges += [(f"v{i},{j}", (name(i, j), name(i + 1, j)))
+              for i in range(rows - 1) for j in range(cols)]
+    ids = {e for e, _ in edges}
+    rotation = {
+        name(i, j): [e for e in (f"h{i},{j}", f"v{i - 1},{j}", f"h{i},{j - 1}", f"v{i},{j}")
+                     if e in ids]
+        for i in range(rows) for j in range(cols)
+    }
+    return RibbonGraph([name(i, j) for i in range(rows) for j in range(cols)], edges, rotation)
+
+
+def search_tree(G):
+    return frozenset(e for e in reach(G, G.vertices[:1]).values() if e is not None)
 
 
 def test_k3_tour_frozen():
@@ -196,3 +225,29 @@ def test_shift_formula_exhaustive_k4():
                 for e2 in G.incident[v]:
                     _, _, equal = shift_difference_check(G, v, e1, e2, T)
                     assert equal
+
+
+def test_action_builds_no_break_divisor_table():
+    # the representative of the shifted class comes from an orientation, so
+    # neither action path enumerates the break divisors
+    K6 = complete_graph(6)
+    grid = grid_graph(3, 4)
+    corr = du.dual_graph(grid)
+    for cached in (bk._enumerate, bk._break_rep, bernardi._act):
+        cached.cache_clear()
+    T = bernardi_act(K6, "2", {"3": 1, "5": -1}, search_tree(K6))
+    assert is_spanning_tree(K6, T)
+    assert du.duality_square_check(corr, "1,1", {"0,0": 1, "2,3": -1}, search_tree(grid))
+    assert bk._enumerate.cache_info().currsize == 0
+
+
+def test_break_representative_grid_10x10():
+    G = grid_graph(10, 10)
+    rng = random.Random(6)
+    D = {v: rng.randint(-2, 2) for v in G.vertices}
+    D["0,0"] += G.genus_comb - dv.degree(D)
+    rep = bk.break_representative(G, D)
+    assert dv.degree(rep.divisor) == G.genus_comb == 81
+    assert min(rep.chips) >= 0
+    assert dv.are_equivalent(G, D, rep.divisor)
+    assert is_spanning_tree(G, rep.witness_tree)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
-from treetorsor.errors import DegreeMismatch, UniquenessViolation
+from treetorsor.errors import DegreeMismatch
 from treetorsor.ribbon import RibbonGraph, spanning_trees
 
 
@@ -90,6 +90,31 @@ def test_representative_identity_and_shift():
         f = {v: rng.randint(-2, 2) for v in G.vertices}
         shifted = dv.add(bd.divisor, dv.laplacian_of(G, f))
         assert bk.break_representative(G, shifted).divisor == bd.divisor
+
+
+def _assert_representatives_match_oracle(G, rng):
+    """The orientation-built representative of each class, also of a shifted
+    divisor in it, is the enumerated break divisor of that class, and its
+    witness tree is compatible with it."""
+    for bd in bk.enumerate_break_divisors(G):
+        f = {v: rng.randint(-5, 5) for v in G.vertices}
+        for D in (bd.divisor, dv.add(bd.divisor, dv.laplacian_of(G, f))):
+            rep = bk.break_representative(G, D)
+            assert rep.chips == bd.chips, (D, rep.chips, bd.chips)
+            ok, _ = bk.is_compatible(G, rep.divisor, rep.witness_tree)
+            assert ok, (rep.chips, sorted(rep.witness_tree))
+
+
+def test_representative_matches_oracle_on_default_corpus():
+    rng = random.Random(11)
+    for _, G in corpus.default_corpus():
+        _assert_representatives_match_oracle(G, rng)
+
+
+@given(st.integers(0, 300))
+@settings(max_examples=25, deadline=None)
+def test_representative_matches_oracle_random(seed):
+    _assert_representatives_match_oracle(random_graph(seed), random.Random(seed))
 
 
 def test_representative_degree_guard():

@@ -81,6 +81,28 @@ def test_equivalence_via_laplacian(seed):
     assert not dv.are_equivalent(G, D, bumped)
 
 
+@given(st.integers(0, 300), st.data())
+@settings(max_examples=40, deadline=None)
+def test_q_reduce_constant_under_large_laplacian_shifts(seed, data):
+    G = random_graph(seed)
+    rng = random.Random(seed)
+    D = random_divisor(G, rng)
+    red = dv.q_reduce(G, D)
+    assert dv.is_q_reduced(G, red)
+    f = {v: data.draw(st.integers(-1000, 1000)) for v in G.vertices}
+    shifted = dv.add(D, dv.laplacian_of(G, f))
+    assert dv.q_reduce(G, shifted) == red
+
+
+def test_q_reduce_k4_coefficients_at_the_bound():
+    # every class of Pic(K4) = Z/4 x Z/4 has order dividing 4, so 10**6 copies
+    # of (1) - (4) are principal and one more copy is the class of k = 1
+    G = corpus.k4()
+    k = 10**6
+    assert dv.q_reduce(G, {"4": -k, "1": k}) == {"1": 0, "2": 0, "3": 0, "4": 0}
+    assert dv.q_reduce(G, {"4": -k - 1, "1": k + 1}) == dv.q_reduce(G, {"4": -1, "1": 1})
+
+
 def simple_graph(vertices, pairs):
     """A ribbon graph on ``pairs``, each rotation in incidence order."""
     edges = [(f"e{i}", pair) for i, pair in enumerate(pairs)]
