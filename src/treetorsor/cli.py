@@ -285,21 +285,13 @@ def _cmd_check_square(args) -> int:
     return FAIL
 
 
-def _cmd_compare_vertices(args) -> int:
+def _cmd_compare(args, torsors: bool) -> int:
     G = _load_graph(args.file)
-    same, witness = sw.compare_bernardi_vertices(
-        G, _vertex(G, args.vertex), _vertex(G, args.other)
-    )
-    if same:
-        print("equal")
-        return PASS
-    print("different " + json.dumps(witness, sort_keys=True))
-    return FAIL
-
-
-def _cmd_compare_torsors(args) -> int:
-    G = _load_graph(args.file)
-    same, witness = sw.compare_torsors(G, _vertex(G, args.vertex))
+    v = _vertex(G, args.vertex)
+    if torsors:
+        same, witness = sw.compare_torsors(G, v)
+    else:
+        same, witness = sw.compare_bernardi_vertices(G, v, _vertex(G, args.other))
     if same:
         print("equal")
         return PASS
@@ -384,18 +376,15 @@ def main(argv: list[str] | None = None) -> int:
         "dual": _cmd_dual,
         "dual-class": _cmd_dual_class,
         "check-square": _cmd_check_square,
-        "compare-vertices": _cmd_compare_vertices,
-        "compare-torsors": _cmd_compare_torsors,
+        "compare-vertices": lambda a: _cmd_compare(a, torsors=False),
+        "compare-torsors": lambda a: _cmd_compare(a, torsors=True),
         "suite": _cmd_suite,
         "search": _cmd_search,
         "export-dot": _cmd_export_dot,
     }
     try:
         return handlers[args.command](args)
-    except TorsorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
+    except (TorsorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -94,10 +94,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _tree_key(T: frozenset) -> list[str]:
-    return sorted(T)
-
-
 def _generators(G: RibbonGraph) -> list[tuple[str, dict]]:
     """The classes [(u) - (q)] for u != q, as (u, divisor) pairs."""
     q = G.vertices[0]
@@ -118,7 +114,7 @@ def compare_bernardi_vertices(
     for u, gamma in _generators(G):
         for T in spanning_trees(G):
             if bernardi_act(G, v1, gamma, T) != bernardi_act(G, v2, gamma, T):
-                return False, {"gamma": gamma, "tree": _tree_key(T)}
+                return False, {"gamma": gamma, "tree": sorted(T)}
     return True, None
 
 
@@ -127,7 +123,7 @@ def compare_torsors(G: RibbonGraph, v: str) -> tuple[bool, dict | None]:
     for u, gamma in _generators(G):
         for T in spanning_trees(G):
             if bernardi_act(G, v, gamma, T) != rt.rotor_act(G, v, gamma, T):
-                return False, {"gamma": gamma, "tree": _tree_key(T)}
+                return False, {"gamma": gamma, "tree": sorted(T)}
     return True, None
 
 
@@ -171,7 +167,7 @@ def _check_ribbon(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                 continue
             cyc = fundamental_cycle(G, T, e)
             if cyc[0].edge != e or any(d.edge not in T for d in cyc[1:]):
-                ok, witness = False, {"tree": _tree_key(T), "edge": e}
+                ok, witness = False, {"tree": sorted(T), "edge": e}
     report.add("fundamental-cycle", name, {}, ok, witness)
 
 
@@ -242,10 +238,8 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             for T in trees:
                 beta = bernardi_beta(G, v, e, T).chips
                 image[beta] = T
-                if _alpha(G, v, e, beta, False) != T:
-                    ok, witness = False, {"vertex": v, "edge": e, "tree": _tree_key(T)}
-                if _alpha(G, v, e, beta, True) != T:
-                    ok, witness = False, {"vertex": v, "edge": e, "tree": _tree_key(T)}
+                if any(_alpha(G, v, e, beta, left) != T for left in (False, True)):
+                    ok, witness = False, {"vertex": v, "edge": e, "tree": sorted(T)}
             if set(image) != break_set:
                 ok, witness = False, {"vertex": v, "edge": e}
     report.add("bernardi-bijectivity", name, {}, ok, witness)
@@ -257,19 +251,19 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             for e in G.incident[v]:
                 tour = bernardi_tour(G, v, e, T)
                 if len(tour.steps) != 2 * len(G.edges):
-                    ok, witness = False, {"vertex": v, "edge": e, "tree": _tree_key(T)}
+                    ok, witness = False, {"vertex": v, "edge": e, "tree": sorted(T)}
                 cuts = [s for s in tour.steps if s.action == "cut"]
                 for f in G.edge_ids:
                     if f in T:
                         continue
                     ends = sorted(s.at_vertex for s in cuts if s.edge == f)
                     if ends != sorted(G.ends[f]):
-                        ok, witness = False, {"edge": f, "tree": _tree_key(T)}
+                        ok, witness = False, {"edge": f, "tree": sorted(T)}
                 seqs.append(list(tour.steps))
         base = seqs[0] + seqs[0]
         for seq in seqs[1:]:
             if not any(base[i : i + len(seq)] == seq for i in range(len(seq))):
-                ok, witness = False, {"tree": _tree_key(T)}
+                ok, witness = False, {"tree": sorted(T)}
     report.add("tour-structure", name, {}, ok, witness)
 
     _check_torsor_axioms(report, name, G, "bernardi-torsor", bernardi_act)
@@ -285,7 +279,7 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                     ok, witness = False, {
                         "vertex": v,
                         "gamma": gamma,
-                        "tree": _tree_key(T),
+                        "tree": sorted(T),
                     }
     report.add("edge-independence", name, {}, ok, witness)
 
@@ -300,7 +294,7 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                             "vertex": v,
                             "edge1": e1,
                             "edge2": e2,
-                            "tree": _tree_key(T),
+                            "tree": sorted(T),
                         }
     report.add("shift-formula", name, {}, ok, witness)
 
@@ -312,35 +306,39 @@ def _check_torsor_axioms(
     check: str,
     act: Callable[[RibbonGraph, str, Mapping[str, int], frozenset], frozenset],
 ) -> None:
-    """Identity, additivity on generators, and simple transitivity of an action."""
+    """Identity, additivity on generators, and simple transitivity of an action,
+    read off one table of its images: one call per (class, tree)."""
     trees = spanning_trees(G)
     group = dv.picard_group(G)
     # the actions under test take name-keyed classes: build each one once
-    classes = [dv.tuple_to_divisor(G, c) for c in group.elements]
+    classes = {c: dv.tuple_to_divisor(G, c) for c in group.elements}
     v = G.vertices[0]
+    table = {c: {T: act(G, v, gamma, T) for T in trees} for c, gamma in classes.items()}
 
     ok, witness = True, None
     for T in trees:
-        if act(G, v, {}, T) != T:
-            ok, witness = False, {"axiom": "identity", "tree": _tree_key(T)}
+        if table[group.zero][T] != T:
+            ok, witness = False, {"axiom": "identity", "tree": sorted(T)}
 
     # additivity on generators suffices: every class is a sum of generators
     for u, gamma in _generators(G):
-        for gamma2 in classes:
-            combined = dv.add(gamma, gamma2)
+        g = group.class_of(gamma)
+        for c, gamma2 in classes.items():
+            combined = table[group.add(g, c)]
             for T in trees:
-                if act(G, v, combined, T) != act(G, v, gamma, act(G, v, gamma2, T)):
+                # .get: an image that is not a tree is in no row, so it fails
+                if combined[T] != table[g].get(table[c][T]):
                     ok, witness = False, {
                         "axiom": "additivity",
                         "gamma1": gamma,
                         "gamma2": gamma2,
-                        "tree": _tree_key(T),
+                        "tree": sorted(T),
                     }
 
     for T in trees:
-        image = {act(G, v, gamma, T) for gamma in classes}
+        image = {row[T] for row in table.values()}
         if len(image) != group.order or image != set(trees):
-            ok, witness = False, {"axiom": "transitivity", "tree": _tree_key(T)}
+            ok, witness = False, {"axiom": "transitivity", "tree": sorted(T)}
     report.add(check, name, {"vertex": v}, ok, witness)
 
 
@@ -349,11 +347,11 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     gtop = trace_faces(G).topological_genus
 
     ok, witness = True, None
+    tree_set = set(trees)
     for T in trees[:4]:
         for x in G.vertices[1:]:
-            result = rt.rotor_move(G, T, x, G.vertices[0])
-            if result not in set(trees):
-                ok, witness = False, {"tree": _tree_key(T), "from": x}
+            if rt.rotor_move(G, T, x, G.vertices[0]) not in tree_set:
+                ok, witness = False, {"tree": sorted(T), "from": x}
     report.add("rotor-move-tree", name, {}, ok, witness)
 
     rng = random.Random(11)
@@ -364,7 +362,7 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             f = {w: rng.randint(-2, 2) for w in G.vertices}
             shifted = dv.add(gamma, dv.laplacian_of(G, f))
             if rt.rotor_act(G, v, gamma, T) != rt.rotor_act(G, v, shifted, T):
-                ok, witness = False, {"gamma": gamma, "function": f, "tree": _tree_key(T)}
+                ok, witness = False, {"gamma": gamma, "function": f, "tree": sorted(T)}
     report.add("rotor-representative-independence", name, {}, ok, witness)
 
     _check_torsor_axioms(report, name, G, "rotor-torsor", rt.rotor_act)
@@ -440,7 +438,7 @@ def _check_duality(
     for gamma in classes.values():
         for T in trees:
             if not du.duality_square_check(corr, v, gamma, T):
-                ok, witness = False, {"gamma": gamma, "tree": _tree_key(T)}
+                ok, witness = False, {"gamma": gamma, "tree": sorted(T)}
     report.add("duality-square", name, {"vertex": v}, ok, witness)
 
 

@@ -6,8 +6,12 @@ import json
 import pytest
 
 from treetorsor import corpus, suite
+from treetorsor.bernardi import bernardi_act
 from treetorsor.cli import main
+from treetorsor.divisors import picard_group
 from treetorsor.errors import NotSimple
+from treetorsor.ribbon import spanning_trees
+from treetorsor.rotor import rotor_act
 
 
 SMALL = [
@@ -73,6 +77,77 @@ def test_golden_k4_search_stream():
     report = suite.search_conjecture(corpus.k4())
     dump = "\n".join(json.dumps(r, sort_keys=True) for r in report["systems"])
     assert _sha256(dump) == "8ff74ccce7db9efd411cfbb7012a6e2d3b603af413f55f3d60d8e26472ff620f"
+
+
+TORSOR_GRAPHS = [
+    ("k4", corpus.k4()),
+    ("theta", corpus.theta()),
+    ("k4-planar", corpus.planar_rotation(corpus.k4())),
+]
+
+
+def _torsor_record(G, act):
+    report = suite.SuiteReport()
+    suite._check_torsor_axioms(report, "g", G, "torsor", act)
+    (record,) = report.records
+    return record
+
+
+@pytest.mark.parametrize("act", [bernardi_act, rotor_act])
+@pytest.mark.parametrize("G", [G for _, G in TORSOR_GRAPHS], ids=[n for n, _ in TORSOR_GRAPHS])
+def test_torsor_battery_calls_action_once_per_class_and_tree(G, act):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return act(*args)
+
+    assert _torsor_record(G, counted).ok
+    assert len(calls) == picard_group(G).order * len(spanning_trees(G))
+
+
+def _twisted(G):
+    """T -> trees[(i(T) + s(j(c))) mod N], s swapping 1 and 2: not additive."""
+    trees, group = spanning_trees(G), picard_group(G)
+
+    def act(G, v, gamma, T):
+        j = group.elements.index(group.class_of(gamma))
+        return trees[(trees.index(T) + {1: 2, 2: 1}.get(j, j)) % len(trees)]
+
+    return act
+
+
+def test_torsor_battery_failure_witnesses():
+    # the last failing witness in loop order; a non-tree image fails, never raises
+    expected = {
+        ("k4", "constant"): {"axiom": "transitivity", "tree": ["e14", "e24", "e34"]},
+        ("k4", "empty"): {"axiom": "transitivity", "tree": ["e14", "e24", "e34"]},
+        ("k4", "twisted"): {
+            "axiom": "additivity",
+            "gamma1": {"1": -1, "4": 1},
+            "gamma2": {"1": 0, "2": 0, "3": 0, "4": 0},
+            "tree": ["e14", "e24", "e34"],
+        },
+        ("theta", "constant"): {"axiom": "transitivity", "tree": ["r"]},
+        ("theta", "empty"): {"axiom": "transitivity", "tree": ["r"]},
+        ("theta", "twisted"): {
+            "axiom": "additivity",
+            "gamma1": {"u": -1, "v": 1},
+            "gamma2": {"u": 0, "v": 0},
+            "tree": ["r"],
+        },
+    }
+    for name, G in TORSOR_GRAPHS[:2]:
+        actions = {
+            "constant": lambda G, v, gamma, T: T,
+            "empty": lambda G, v, gamma, T: frozenset(),
+            "twisted": _twisted(G),
+        }
+        for kind, act in actions.items():
+            record = _torsor_record(G, act)
+            assert not record.ok
+            assert record.witness == expected[name, kind], (name, kind)
+            assert record.params == {"vertex": G.vertices[0]}
 
 
 def test_compare_vertices_planar_vs_not():
