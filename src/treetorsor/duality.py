@@ -26,7 +26,6 @@ from .ribbon import Dart, RibbonGraph, reach, trace_faces
 class DualCorrespondence:
     primal: RibbonGraph
     dual: RibbonGraph
-    edge_map: dict  # primal edge id -> dual edge id (and back via values)
     dart_map: dict  # primal Dart -> dual Dart
     face_map: dict  # dual vertex id -> tuple of primal darts of that face
 
@@ -76,17 +75,14 @@ def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
     return DualCorrespondence(
         primal=G,
         dual=dual,
-        edge_map={e: e for e in G.edge_ids},
         dart_map=dart_map,
         face_map=face_map,
     )
 
 
 def dual_tree(corr: DualCorrespondence, T: frozenset) -> frozenset:
-    """The complementary dual tree: dual edges of the primal non-tree edges."""
-    return frozenset(
-        corr.edge_map[e] for e in corr.primal.edge_ids if e not in T
-    )
+    """The complementary dual tree: the primal non-tree edges (the dual keeps ids)."""
+    return frozenset(e for e in corr.primal.edge_ids if e not in T)
 
 
 def _chain_for(G: RibbonGraph, D: Mapping[str, int]) -> dict[Dart, int]:

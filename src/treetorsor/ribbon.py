@@ -76,7 +76,6 @@ class RibbonGraph:
                     "rotation-mismatch", f"edge {eid!r} has unknown endpoint"
                 )
 
-        self.incident: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
         inc: dict[str, list[str]] = {v: [] for v in self.vertices}
         for eid, (a, b) in self.edges:
             inc[a].append(eid)
@@ -216,8 +215,10 @@ def parse_ribbon_graph(text: str) -> RibbonGraph:
         edges.append((eid, (a, b)))
     if not edges:
         raise ValidationError("empty", "graph has no edges")
-    if not isinstance(rotation, dict):
-        raise ParseError('"rotation" must be an object')
+    if not isinstance(rotation, dict) or not all(
+        isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rotation.values()
+    ):
+        raise ParseError('"rotation" must map vertices to lists of edge ids')
     missing = set(vertices) - set(rotation)
     if missing:
         raise ValidationError(

@@ -20,6 +20,7 @@ from treetorsor.bernardi import (
     shift_difference_check,
 )
 from treetorsor.errors import NotBreakDivisor, NotIncident
+from treetorsor import ribbon
 from treetorsor.ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
 
 
@@ -251,3 +252,34 @@ def test_break_representative_grid_10x10():
     assert min(rep.chips) >= 0
     assert dv.are_equivalent(G, D, rep.divisor)
     assert is_spanning_tree(G, rep.witness_tree)
+
+
+def test_inverses_and_actions_enumerate_no_trees():
+    # membership is decided by orientation, so neither the inverses nor the
+    # actions list spanning trees
+    for module in (ribbon, dv, bk, bernardi, du):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    grid = grid_graph(3, 4)
+    for G in (complete_graph(6), grid):
+        v, T = G.vertices[1], search_tree(G)
+        e = G.rotation[v][0]
+        D = bernardi_beta(G, v, e, T).divisor
+        assert alpha_right(G, v, e, D) == T
+        assert alpha_left(G, v, e, D) == T
+        gamma = {G.vertices[2]: 1, G.vertices[-1]: -1}
+        assert is_spanning_tree(G, bernardi_act(G, v, gamma, T))
+    assert du.duality_square_check(
+        du.dual_graph(grid), "1,1", {"0,0": 1, "2,3": -1}, search_tree(grid)
+    )
+    assert spanning_trees.cache_info().currsize == 0
+
+
+def test_inverse_and_square_grid_10x10():
+    G = grid_graph(10, 10)
+    T = search_tree(G)
+    for v in ("0,0", "4,6"):
+        e = G.rotation[v][0]
+        assert alpha_right(G, v, e, bernardi_beta(G, v, e, T).divisor) == T
+    assert du.duality_square_check(du.dual_graph(G), "3,3", {"0,0": 2, "9,9": -2}, T)

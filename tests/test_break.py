@@ -1,11 +1,12 @@
 """Break divisors: compatibility, membership, enumeration, representatives."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treetorsor import bernardi
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
@@ -41,6 +42,17 @@ def test_compatibility_witness():
     ok, assignment = bk.is_compatible(G, {"u": 2}, T)
     assert ok
     assert assignment == {"q": "u", "r": "u"}
+
+
+def test_compatibility_rejects_non_trees():
+    theta = corpus.theta(planar=True)
+    for T in (frozenset(), frozenset(theta.edge_ids)):
+        assert bk.is_compatible(theta, {"u": 2}, T) == (False, None)
+    K4 = corpus.k4()
+    triangle = frozenset(e for e, ends in K4.edges if "4" not in ends)
+    assert len(triangle) == 3
+    for bd in bk.enumerate_break_divisors(K4):
+        assert bk.is_compatible(K4, bd.divisor, triangle) == (False, None)
 
 
 def test_compatibility_degree_guard():
@@ -130,6 +142,127 @@ def test_every_witness_is_compatible():
             assert ok
 
 
+def _match(G, demand, edges):
+    """Assign each edge to an endpoint so the chosen endpoints use up demand,
+    by backtracking: the exhaustive reference for ``bk._orient``."""
+    if not edges:
+        return {} if not any(demand) else None
+    e = edges[0]
+    for v in G.ends[e]:
+        i = G.vertex_pos(v)
+        if demand[i] > 0:
+            demand[i] -= 1
+            rest = _match(G, demand, edges[1:])
+            demand[i] += 1
+            if rest is not None:
+                rest[e] = v
+                return rest
+    return None
+
+
+def _oracle_is_break(G, removed, dt):
+    """Exhaustive ``_is_break``: some spanning tree of G avoiding ``removed``
+    has its other edges matched to the chips of ``dt``."""
+    if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
+        return False
+    return any(
+        _match(G, list(dt), [e for e in G.edge_ids if e not in T and e not in removed])
+        is not None
+        for T in spanning_trees(G)
+        if T.isdisjoint(removed)
+    )
+
+
+def _assert_matches_oracle(G, removed):
+    for dt in _effective(len(G.vertices), G.genus_comb - len(removed)):
+        assert bk._is_break(G, removed, dt) == _oracle_is_break(G, removed, dt), (
+            sorted(removed), dt)
+
+
+def test_is_break_matches_oracle_on_default_corpus():
+    for _, G in corpus.default_corpus():
+        _assert_matches_oracle(G, frozenset())
+        for e in G.edge_ids:
+            _assert_matches_oracle(G, frozenset({e}))
+
+
+@given(st.integers(0, 300), st.data())
+@settings(max_examples=25, deadline=None)
+def test_is_break_matches_oracle_random(seed, data):
+    G = random_graph(seed)
+    removed = data.draw(st.frozensets(st.sampled_from(G.edge_ids), max_size=2))
+    _assert_matches_oracle(G, removed)
+
+
+def test_is_break_matches_oracle_on_inverse_queries(monkeypatch):
+    # every (G, removed, D) the inverse reconstructions ask on the corpus
+    asked = set()
+    is_break = bk._is_break
+
+    def recording(G, removed, dt):
+        asked.add((G, removed, dt))
+        return is_break(G, removed, dt)
+
+    monkeypatch.setattr(bk, "_is_break", recording)
+    bernardi._alpha.cache_clear()
+    for _, G in corpus.default_corpus():
+        v = G.vertices[0]
+        e = G.rotation[v][0]
+        for T in spanning_trees(G):
+            D = bernardi.bernardi_beta(G, v, e, T).divisor
+            assert bernardi.alpha_right(G, v, e, D) == T
+            assert bernardi.alpha_left(G, v, e, D) == T
+    bernardi._alpha.cache_clear()
+    assert len(asked) > 1000
+    for G, removed, dt in asked:
+        assert is_break(G, removed, dt) == _oracle_is_break(G, removed, dt)
+
+
+def _in_degrees(G, heads):
+    out = [0] * len(G.vertices)
+    for h in heads.values():
+        out[G.vertex_pos(h)] += 1
+    return tuple(out)
+
+
+def test_compatibility_matches_matcher():
+    for _, G in corpus.default_corpus()[:12]:
+        for T in spanning_trees(G):
+            non_tree = [e for e in G.edge_ids if e not in T]
+            for dt in _effective(len(G.vertices), G.genus_comb):
+                ok, heads = bk.is_compatible(G, dv.tuple_to_divisor(G, dt), T)
+                assert ok == (_match(G, list(dt), non_tree) is not None)
+                if ok:
+                    assert sorted(heads) == sorted(non_tree)
+                    assert all(heads[e] in G.ends[e] for e in non_tree)
+                    assert _in_degrees(G, heads) == dt
+
+
+@given(st.integers(0, 300), st.data())
+@settings(max_examples=40, deadline=None)
+def test_orient_matches_every_orientation(seed, data):
+    G = random_graph(seed)
+    edges = data.draw(st.lists(st.sampled_from(G.edge_ids), unique=True, max_size=8))
+    realised = {
+        _in_degrees(G, dict(zip(edges, ends)))
+        for ends in product(*(G.ends[e] for e in edges))
+    }
+    # every realised target with one unit moved, and a few arbitrary ones
+    n = len(G.vertices)
+    targets = set(data.draw(st.lists(st.tuples(*[st.integers(-1, 3)] * n), max_size=5)))
+    for t in realised:
+        for i, j in product(range(n), repeat=2):
+            targets.add(tuple(c - (k == i) + (k == j) for k, c in enumerate(t)))
+    for target in sorted(targets):
+        heads = bk._orient(G, edges, target)
+        if target in realised:
+            assert sorted(heads) == sorted(edges)
+            assert all(heads[e] in G.ends[e] for e in edges)
+            assert _in_degrees(G, heads) == target
+        else:
+            assert heads is None, target
+
+
 def _minor(G, removed):
     """G minus the edges ``removed``, built as its own graph with the induced
     rotation: the reference that ``_is_break(G, removed, ...)`` replaces."""
@@ -151,7 +284,7 @@ def _effective(n, k):
 def _assert_matches_minor(G, removed):
     H = _minor(G, removed)
     for dt in _effective(len(G.vertices), G.genus_comb - len(removed)):
-        expected = bk.is_break_divisor(H, dv.tuple_to_divisor(H, dt))
+        expected = _oracle_is_break(H, frozenset(), dt)
         assert bk._is_break(G, removed, dt) == expected, (sorted(removed), dt)
 
 

@@ -1,9 +1,14 @@
 """The theorem suite, the conjecture search, and the command-line surface."""
 
+import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treetorsor import corpus, suite
 from treetorsor.bernardi import bernardi_act
@@ -339,8 +344,72 @@ def test_cli_input_errors(k3_file, capsys):
         ["rotor-move", k3_file, "--from", "9", "--root", "1"] + tree,
         ["compare-vertices", k3_file, "--vertex", "1", "--other", "9"],
         ["compare-torsors", k3_file, "--vertex", "9"],
+        # a boolean coefficient
+        ["act-rotor", k3_file, "--vertex", "1", "--class", '{"1": true, "2": -1}'] + tree,
     ]
+    # rotation values that are not lists of edge ids
+    k3 = json.loads(Path(k3_file).read_text())
+    for name, value in (("int", 5), ("mixed", [1, "a"])):
+        path = Path(k3_file).with_name(f"rotation-{name}.json")
+        path.write_text(json.dumps(dict(k3, rotation=dict(k3["rotation"], **{"1": value}))))
+        cases.append(["info", str(path)])
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+K3_FILE = json.loads(corpus.k3().to_json())
+K3_CLASS = {"2": 1, "1": -1}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# (document, path of keys) of each field that the fuzz test replaces
+FIELDS = [
+    ("graph", path)
+    for path in [
+        ("vertices",), ("vertices", 0), ("edges",), ("edges", 0), ("edges", 0, "id"),
+        ("edges", 0, "ends"), ("edges", 0, "ends", 1), ("rotation",), ("rotation", "1"),
+        ("rotation", "1", 0),
+    ]
+] + [("class", ()), ("class", ("2",))]
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.json"
+
+
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzzed_field_exits_cleanly(fuzz_file, field, value):
+    # one field of a valid graph file or class replaced by any JSON value:
+    # the CLI answers or exits 2 with one error line, and never raises
+    doc, path = field
+    graph = _replaced(K3_FILE, path, value) if doc == "graph" else K3_FILE
+    klass = _replaced(K3_CLASS, path, value) if doc == "class" else K3_CLASS
+    fuzz_file.write_text(json.dumps(graph))
+    argv = ["act-bernardi", str(fuzz_file), "--vertex", "1", "--class", json.dumps(klass),
+            "--tree", "a,b"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
