@@ -75,7 +75,7 @@ def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivis
     chips = [0] * len(G.vertices)
     for u in tour.eta.values():
         chips[G.vertex_pos(u)] += 1
-    return bk.BreakDivisor(G, tuple(chips), T)
+    return bk.BreakDivisor(G.skeleton, tuple(chips), T)
 
 
 @lru_cache(maxsize=None)

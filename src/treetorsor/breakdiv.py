@@ -16,12 +16,11 @@ endpoint choice) is the exhaustive oracle that tests compare these with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from . import divisors as dv
 from .errors import DegreeMismatch
-from .ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
+from .ribbon import RibbonGraph, is_spanning_tree, reach, rotation_free, spanning_trees
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def is_compatible(
     return heads is not None, heads
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def _is_break(G: RibbonGraph, removed: frozenset, dt: tuple[int, ...]) -> bool:
     """Whether ``dt`` is a break divisor of G minus the edges ``removed``
     (False when that minor is disconnected).  Orientations with equal
@@ -102,7 +101,7 @@ def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
     return _is_break(G, frozenset(), dv.divisor_to_tuple(G, D))
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def _enumerate(G: RibbonGraph) -> tuple[BreakDivisor, ...]:
     seen: dict[tuple[int, ...], frozenset] = {}
     for T in spanning_trees(G):
@@ -140,7 +139,7 @@ def _open_cuts(G: RibbonGraph, heads: dict[str, str], into_q: bool) -> dict:
                 heads[e] = a if (a in found) == into_q else b
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def _break_rep(G: RibbonGraph, key: tuple[int, ...]) -> BreakDivisor:
     """The break divisor in the class whose q-reduced form is ``key``.
 

@@ -12,12 +12,12 @@ procedure; the designated base q is the first vertex in file order.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+import operator
 from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, MissingVertex, ParseError
-from .ribbon import RibbonGraph
+from .ribbon import RibbonGraph, rotation_free
 
 COEFF_BOUND = 10**6
 
@@ -124,7 +124,7 @@ def _fire(G: RibbonGraph, coeff: list[int], x: Mapping[str, int]) -> None:
         coeff[at(b)] += flow
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     coeff = list(dt)
     at = G.vertex_pos
@@ -246,7 +246,7 @@ class PicardGroup:
         return _q_reduce(self.graph, divisor_to_tuple(self.graph, D), self.q)
 
     def add(self, c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
-        return _q_reduce(self.graph, tuple(a + b for a, b in zip(c1, c2)), self.q)
+        return _q_reduce(self.graph, tuple(map(operator.add, c1, c2)), self.q)
 
     def neg(self, c: tuple[int, ...]) -> tuple[int, ...]:
         return _q_reduce(self.graph, tuple(-a for a in c), self.q)
@@ -261,6 +261,6 @@ class PicardGroup:
         }
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def picard_group(G: RibbonGraph) -> PicardGroup:
     return PicardGroup(G)

@@ -5,6 +5,15 @@ ordering of the incident edges around each vertex (a rotation system).
 Vertex and edge identifiers are opaque strings; every deterministic order
 used in this package is file order (the order identifiers appear in the
 input).
+
+Spanning trees, divisor classes and break divisors depend only on the
+underlying graph, not on the rotation.  Each graph therefore carries a
+``skeleton``: the one graph per (vertices, edges) in this import whose every
+rotation is file order (``rotation == incident``).  The first graph built
+with that rotation is the skeleton; for any other rotation it is built once.
+The caches of the functions that never read the rotation (``rotation_free``)
+are keyed on the skeleton, so all rotation systems of one graph share their
+entries, and the objects those functions return carry the skeleton.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
@@ -27,6 +36,23 @@ class Dart(NamedTuple):
 
 
 SpanningTree = frozenset  # of edge ids
+
+# (vertices, edges) -> the file-order rotation system of that graph
+_SKELETONS: dict[tuple, RibbonGraph] = {}
+
+
+def rotation_free(fn):
+    """Cache ``fn(G, *args)``, whose answer never reads the rotation of
+    ``G``, on ``G.skeleton``: the body always runs on the skeleton, and every
+    rotation system of one graph shares the entry."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(G, *args):
+        return cached(G.skeleton, *args)
+
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
 
 
 class RibbonGraph:
@@ -49,6 +75,7 @@ class RibbonGraph:
         "_pred",
         "_vertex_pos",
         "_hash",
+        "skeleton",
     )
 
     def __init__(
@@ -97,6 +124,11 @@ class RibbonGraph:
                 self._pred[(v, e)] = cycle[(i - 1) % k]
 
         self._hash = hash((self.vertices, self.edges, tuple(sorted(self.rotation.items()))))
+        key = (self.vertices, self.edges)
+        if self.rotation == self.incident:
+            self.skeleton = _SKELETONS.setdefault(key, self)
+        else:
+            self.skeleton = _SKELETONS.get(key) or RibbonGraph(*key, self.incident)
 
     # -- identity ---------------------------------------------------------
 
@@ -206,12 +238,13 @@ def parse_ribbon_graph(text: str) -> RibbonGraph:
     edges = []
     for entry in raw_edges:
         try:
-            eid = entry["id"]
-            a, b = entry["ends"]
+            eid, ends = entry["id"], entry["ends"]
+            a, b = ends
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge entry {entry!r}") from exc
-        if not (isinstance(eid, str) and isinstance(a, str) and isinstance(b, str)):
-            raise ParseError(f"edge ids and endpoints must be strings: {entry!r}")
+        if not (isinstance(ends, list) and isinstance(eid, str) and isinstance(a, str)
+                and isinstance(b, str)):
+            raise ParseError(f"edge ids must be strings and ends lists of two strings: {entry!r}")
         edges.append((eid, (a, b)))
     if not edges:
         raise ValidationError("empty", "graph has no edges")
@@ -264,42 +297,18 @@ def trace_faces(G: RibbonGraph) -> FaceDecomposition:
     return FaceDecomposition(tuple(faces), genus2 // 2)
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-@lru_cache(maxsize=None)
+@rotation_free
 def spanning_trees(G: RibbonGraph) -> tuple[SpanningTree, ...]:
     """All spanning trees, lexicographic in edge file order."""
     n = len(G.vertices)
-    trees = []
-    for combo in combinations(G.edge_ids, n - 1):
-        uf = _UnionFind(G.vertices)
-        if all(uf.union(*G.ends[e]) for e in combo):
-            trees.append(frozenset(combo))
-    return tuple(trees)
+    root = G.vertices[:1]
+    subsets = map(frozenset, combinations(G.edge_ids, n - 1))
+    return tuple(T for T in subsets if len(reach(G, root, T)) == n)
 
 
 def is_spanning_tree(G: RibbonGraph, T: frozenset) -> bool:
-    if len(T) != len(G.vertices) - 1 or not T <= set(G.edge_ids):
-        return False
-    uf = _UnionFind(G.vertices)
-    return all(uf.union(*G.ends[e]) for e in T)
+    n = len(G.vertices)
+    return len(T) == n - 1 and T <= G.ends.keys() and len(reach(G, G.vertices[:1], T)) == n
 
 
 def reach(

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from . import divisors as dv
 from .errors import ChipAtSink, NotACycle
-from .ribbon import Dart, RibbonGraph, is_spanning_tree, reach
+from .ribbon import Dart, RibbonGraph, is_spanning_tree, reach, rotation_free
 
 
 def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
@@ -139,7 +139,7 @@ def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = 
     return target in states
 
 
-@lru_cache(maxsize=None)
+@rotation_free
 def simple_cycles(G: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
     """One orientation of every simple cycle: connected 2-regular edge subsets."""
     out = []

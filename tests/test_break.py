@@ -10,8 +10,10 @@ from treetorsor import bernardi
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
+from treetorsor import rotor as rt
 from treetorsor.errors import DegreeMismatch
 from treetorsor.ribbon import RibbonGraph, spanning_trees
+from treetorsor.suite import search_conjecture
 
 
 def random_graph(seed):
@@ -304,3 +306,83 @@ def test_is_break_minus_edges_matches_explicit_minor_random(seed, data):
         _assert_matches_minor(G, frozenset({e}))
     removed = data.draw(st.frozensets(st.sampled_from(G.edge_ids), max_size=3))
     _assert_matches_minor(G, removed)
+
+
+# -- caches keyed on the underlying graph ----------------------------------------
+
+ROTATION_FREE = [spanning_trees, rt.simple_cycles, dv.picard_group, bk._enumerate,
+                 dv._q_reduce, bk._is_break, bk._break_rep]
+
+
+def _plain(value):
+    """A cached answer without the graph object it was computed on."""
+    if isinstance(value, dv.PicardGroup):
+        return value.elements
+    if isinstance(value, bk.BreakDivisor):
+        return value.chips, value.witness_tree
+    if isinstance(value, tuple) and value and isinstance(value[0], bk.BreakDivisor):
+        return [_plain(bd) for bd in value]
+    return value
+
+
+def _rotation_free_queries(H, rng):
+    """(function, extra arguments): every whole-graph cache, and a sample of
+    the arguments the actions and inverses pass to the other three."""
+    out = [(fn, ()) for fn in ROTATION_FREE[:4]]
+    trees = spanning_trees(H)
+    q = H.vertices[0]
+    for T in rng.sample(trees, min(3, len(trees))):
+        v = rng.choice(H.vertices)
+        beta = bernardi.bernardi_beta(H, v, H.rotation[v][0], T).chips
+        a, b = rng.sample(range(len(H.vertices)), 2)
+        shifted = tuple(c + (i == a) - (i == b) for i, c in enumerate(beta))
+        out += [(dv._q_reduce, (beta, rng.choice(H.vertices))),
+                (dv._q_reduce, (shifted, q)),
+                (bk._break_rep, (dv._q_reduce(H, shifted, q),)),
+                (bk._is_break, (frozenset(), shifted))]
+        for f in H.edge_ids:
+            if f not in T:
+                i = H.vertex_pos(rng.choice(H.ends[f]))
+                trial = tuple(c - (j == i) for j, c in enumerate(beta))
+                out.append((bk._is_break, (frozenset({f}), trial)))
+    return out
+
+
+def test_rotation_free_caches_answer_for_every_rotation_system():
+    """Each skeleton-keyed cache gives, on every rotation system, what its
+    undecorated body computes on that rotation system itself."""
+    graphs = [corpus.theta(planar=True), corpus.k4()] + [random_graph(s) for s in (17, 22, 38)]
+    rotated = 0
+    for G in graphs:
+        rng = random.Random(len(G.edges))
+        for H in corpus.rotation_systems(G):
+            rotated += H.skeleton is not H
+            for fn, args in _rotation_free_queries(H, rng):
+                assert _plain(fn(H, *args)) == _plain(fn.__wrapped__(H, *args)), (fn, args)
+    assert rotated > 100
+
+
+def test_rotation_systems_share_the_rotation_free_caches():
+    for fn in ROTATION_FREE + [bernardi._act]:
+        fn.cache_clear()
+    search_conjecture(corpus.k4())
+    assert spanning_trees.cache_info().misses == 1
+    assert bk._break_rep.cache_info().misses <= dv.picard_group(corpus.k4()).order == 16
+
+
+def test_skeleton_is_shared_and_carries_the_break_divisors():
+    G = corpus.k4()
+    H, K = [S for S in corpus.rotation_systems(G) if S.rotation != S.incident][:2]
+    assert H.skeleton is K.skeleton
+    assert H.skeleton.rotation == H.incident and H.skeleton.edges == H.edges
+    # the first graph of an edge set rotated in file order is its own skeleton
+    edges = [(f"skeleton-{e}", ends) for e, ends in G.edges]
+    incident = {v: [f"skeleton-{e}" for e in es] for v, es in G.incident.items()}
+    base = RibbonGraph(G.vertices, edges, incident)
+    assert base.skeleton is base
+    assert RibbonGraph(G.vertices, edges, incident).skeleton is base
+    T = spanning_trees(H)[0]
+    D = bernardi.bernardi_beta(H, "1", H.rotation["1"][0], T)
+    assert D.graph is H.skeleton
+    assert bk.break_representative(H, D.divisor).graph is H.skeleton
+    assert dv.picard_group(K).graph is H.skeleton

@@ -13,7 +13,6 @@ from treetorsor.ribbon import (
     face_successor,
     fundamental_cycle,
     is_spanning_tree,
-    _UnionFind,
     parse_ribbon_graph,
     reach,
     spanning_trees,
@@ -26,6 +25,27 @@ import random
 
 def random_graph(seed: int) -> RibbonGraph:
     return corpus.random_multigraph(random.Random(seed))
+
+
+class _UnionFind:
+    """Components by union-find: the reference that ``reach`` is checked against."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: str, b: str) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 # -- construction and validation ----------------------------------------------

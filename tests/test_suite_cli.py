@@ -353,6 +353,12 @@ def test_cli_input_errors(k3_file, capsys):
         path = Path(k3_file).with_name(f"rotation-{name}.json")
         path.write_text(json.dumps(dict(k3, rotation=dict(k3["rotation"], **{"1": value}))))
         cases.append(["info", str(path)])
+    # edge ends that unpack to two strings without being a list of two strings
+    for name, value in (("string", "12"), ("object", {"1": 0, "2": None})):
+        edges = [dict(k3["edges"][0], ends=value)] + k3["edges"][1:]
+        path = Path(k3_file).with_name(f"ends-{name}.json")
+        path.write_text(json.dumps(dict(k3, edges=edges)))
+        cases.append(["info", str(path)])
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
