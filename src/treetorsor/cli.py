@@ -3,6 +3,13 @@
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 input error.
 Trees are passed as comma-separated edge ids, divisors and classes as inline
 divisor JSON, directed cycles as comma-separated ``edge:tail`` darts.
+
+Each command is one entry of ``COMMANDS``: its name, help, handler and the
+options it reads, in reading order.  ``OPTIONS`` names the reader of each
+option.  ``main`` checks the inputs in one fixed order: the graph file first,
+then the options in ``OPTIONS`` order, then the command's own preconditions
+(planarity, say) inside the library call.  The first bad input is the one
+reported, as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -11,58 +18,46 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
+from . import bernardi as bn
 from . import breakdiv as bk
 from . import divisors as dv
 from . import duality as du
+from . import ribbon as rb
 from . import rotor as rt
 from . import suite as sw
-from .bernardi import (
-    alpha_left,
-    alpha_right,
-    bernardi_act,
-    bernardi_beta,
-    bernardi_tour,
-)
 from .errors import TorsorError
-from .ribbon import (
-    Dart,
-    RibbonGraph,
-    is_spanning_tree,
-    parse_ribbon_graph,
-    spanning_trees,
-    trace_faces,
-)
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
-def _load_graph(path: str) -> RibbonGraph:
+def _load_graph(path: str) -> rb.RibbonGraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_ribbon_graph(fh.read())
+        return rb.parse_ribbon_graph(fh.read())
 
 
-def _parse_tree(G: RibbonGraph, text: str) -> frozenset:
+def _parse_tree(G: rb.RibbonGraph, text: str) -> frozenset:
     edges = frozenset(e for e in text.split(",") if e)
     for e in edges:
         if e not in G.ends:
             raise TorsorError(f"unknown edge {e!r} in tree argument")
-    if not is_spanning_tree(G, edges):
+    if not rb.is_spanning_tree(G, edges):
         raise TorsorError(f"{sorted(edges)} is not a spanning tree")
     return edges
 
 
-def _vertex(G: RibbonGraph, v: str) -> str:
+def _vertex(G: rb.RibbonGraph, v: str) -> str:
     if v not in G.rotation:
         raise TorsorError(f"unknown vertex {v!r}")
     return v
 
 
-def _parse_cycle(G: RibbonGraph, text: str) -> tuple[Dart, ...]:
+def _parse_cycle(G: rb.RibbonGraph, text: str) -> tuple[rb.Dart, ...]:
     darts = []
     for part in text.split(","):
         edge, _, tail = part.partition(":")
-        darts.append(Dart(edge, tail))
+        darts.append(rb.Dart(edge, tail))
     return tuple(darts)
 
 
@@ -70,115 +65,17 @@ def _fmt_tree(T: frozenset) -> str:
     return ",".join(sorted(T))
 
 
-def _fmt_divisor(D: dict) -> str:
-    return json.dumps(D, sort_keys=True)
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
 
 
-def _graph_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="graph file (JSON)")
+def _verdict(ok: bool, yes: str, no: str) -> int:
+    print(yes if ok else no)
+    return PASS if ok else FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="treetorsor",
-        description="divisor theory and spanning-tree torsors on ribbon graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="vertex/edge counts, genus, faces")
-    _graph_arg(p)
-
-    p = sub.add_parser("trees", help="list all spanning trees")
-    _graph_arg(p)
-
-    p = sub.add_parser("break-divisors", help="list all break divisors")
-    _graph_arg(p)
-
-    for name, help_text in (
-        ("tour", "dump the tour of a spanning tree"),
-        ("beta", "break divisor of a spanning tree"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _graph_arg(p)
-        p.add_argument("--vertex", required=True)
-        p.add_argument("--edge", required=True)
-        p.add_argument("--tree", required=True)
-
-    for name, help_text in (
-        ("alpha-r", "spanning tree of a break divisor (right inverse)"),
-        ("alpha-l", "spanning tree of a break divisor (left inverse)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _graph_arg(p)
-        p.add_argument("--vertex", required=True)
-        p.add_argument("--edge", required=True)
-        p.add_argument("--divisor", required=True, help="divisor JSON")
-
-    for name, help_text in (
-        ("act-bernardi", "apply the tree action via tours"),
-        ("act-rotor", "apply the tree action via rotor-routing"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _graph_arg(p)
-        p.add_argument("--vertex", required=True)
-        p.add_argument("--class", dest="klass", required=True, help="degree-0 divisor JSON")
-        p.add_argument("--tree", required=True)
-
-    p = sub.add_parser("rotor-move", help="single-chip rotor-routing tree move")
-    _graph_arg(p)
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--root", required=True)
-    p.add_argument("--tree", required=True)
-
-    p = sub.add_parser("reversible", help="test reversibility of a directed cycle")
-    _graph_arg(p)
-    p.add_argument("--cycle", required=True, help="comma-separated edge:tail darts")
-
-    p = sub.add_parser("dual", help="emit the dual graph and the edge map")
-    _graph_arg(p)
-
-    p = sub.add_parser("dual-class", help="push a degree-0 class to the dual")
-    _graph_arg(p)
-    p.add_argument("--class", dest="klass", required=True)
-
-    p = sub.add_parser("check-square", help="duality/action commuting square")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--tree", required=True)
-
-    p = sub.add_parser("compare-vertices", help="same tree action from two base vertices?")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--other", required=True)
-
-    p = sub.add_parser("compare-torsors", help="tour action vs rotor action at a vertex")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-
-    p = sub.add_parser("suite", help="run the theorem suite over a corpus directory")
-    p.add_argument("corpus_dir")
-    p.add_argument(
-        "--mirror-dual",
-        action="store_true",
-        help="debug: flip the dual-graph convention to show the square failing",
-    )
-
-    p = sub.add_parser("search", help="rotation-system search over a simple graph")
-    _graph_arg(p)
-
-    p = sub.add_parser("export-dot", help="tour or rotor trace as annotated DOT")
-    _graph_arg(p)
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--edge", required=True)
-    p.add_argument("--tree", required=True)
-
-    return parser
-
-
-def _cmd_info(args) -> int:
-    G = _load_graph(args.file)
-    fd = trace_faces(G)
+def _cmd_info(G) -> None:
+    fd = rb.trace_faces(G)
     print(f"vertices {len(G.vertices)}")
     print(f"edges {len(G.edges)}")
     print(f"genus-combinatorial {G.genus_comb}")
@@ -186,175 +83,207 @@ def _cmd_info(args) -> int:
     print(f"faces {len(fd.faces)}")
     for i, face in enumerate(fd.faces):
         print(f"face f{i} " + " ".join(f"{d.edge}:{d.tail}" for d in face))
-    return PASS
 
 
-def _cmd_trees(args) -> int:
-    G = _load_graph(args.file)
-    for T in spanning_trees(G):
+def _cmd_trees(G) -> None:
+    for T in rb.spanning_trees(G):
         print(_fmt_tree(T))
-    return PASS
 
 
-def _cmd_break_divisors(args) -> int:
-    G = _load_graph(args.file)
+def _cmd_break_divisors(G) -> None:
     for bd in bk.enumerate_break_divisors(G):
-        print(_fmt_divisor(bd.divisor) + " witness " + _fmt_tree(bd.witness_tree))
-    return PASS
+        print(_json(bd.divisor) + " witness " + _fmt_tree(bd.witness_tree))
 
 
-def _cmd_tour(args) -> int:
-    G = _load_graph(args.file)
-    T = _parse_tree(G, args.tree)
-    print(bernardi_tour(G, _vertex(G, args.vertex), args.edge, T).dump())
-    return PASS
+def _cmd_tour(G, v, e, T) -> None:
+    print(bn.bernardi_tour(G, v, e, T).dump())
 
 
-def _cmd_beta(args) -> int:
-    G = _load_graph(args.file)
-    T = _parse_tree(G, args.tree)
-    beta = bernardi_beta(G, _vertex(G, args.vertex), args.edge, T)
-    print(_fmt_divisor(beta.divisor))
-    return PASS
+def _cmd_beta(G, v, e, T) -> None:
+    print(_json(bn.bernardi_beta(G, v, e, T).divisor))
 
 
-def _cmd_alpha(args, left: bool) -> int:
-    G = _load_graph(args.file)
-    D = dv.parse_divisor(G, args.divisor)
-    fn = alpha_left if left else alpha_right
-    print(_fmt_tree(fn(G, _vertex(G, args.vertex), args.edge, D)))
-    return PASS
+def _cmd_alpha_r(G, v, e, D) -> None:
+    print(_fmt_tree(bn.alpha_right(G, v, e, D)))
 
 
-def _cmd_act(args, rotor: bool) -> int:
-    G = _load_graph(args.file)
-    v = _vertex(G, args.vertex)
-    gamma = dv.parse_divisor(G, args.klass)
-    T = _parse_tree(G, args.tree)
-    act = rt.rotor_act if rotor else bernardi_act
-    print(_fmt_tree(act(G, v, gamma, T)))
-    return PASS
+def _cmd_alpha_l(G, v, e, D) -> None:
+    print(_fmt_tree(bn.alpha_left(G, v, e, D)))
 
 
-def _cmd_rotor_move(args) -> int:
-    G = _load_graph(args.file)
-    T = _parse_tree(G, args.tree)
-    source, root = _vertex(G, args.source), _vertex(G, args.root)
+def _cmd_act_bernardi(G, v, gamma, T) -> None:
+    print(_fmt_tree(bn.bernardi_act(G, v, gamma, T)))
+
+
+def _cmd_act_rotor(G, v, gamma, T) -> None:
+    print(_fmt_tree(rt.rotor_act(G, v, gamma, T)))
+
+
+def _cmd_rotor_move(G, source, root, T) -> None:
     print(_fmt_tree(rt.rotor_move(G, T, source, root)))
-    return PASS
 
 
-def _cmd_reversible(args) -> int:
-    G = _load_graph(args.file)
-    C = _parse_cycle(G, args.cycle)
-    if rt.cycle_is_reversible(G, C):
-        print("reversible")
-        return PASS
-    print("not-reversible")
-    return FAIL
+def _cmd_reversible(G, C) -> int:
+    return _verdict(rt.cycle_is_reversible(G, C), "reversible", "not-reversible")
 
 
-def _cmd_dual(args) -> int:
-    G = _load_graph(args.file)
-    corr = du.dual_graph(G)
-    print(corr.dual.to_json())
+def _cmd_dual(G) -> None:
+    print(du.dual_graph(G).dual.to_json())
     for e in G.edge_ids:
         print(f"map {e} {e}")
-    return PASS
 
 
-def _cmd_dual_class(args) -> int:
-    G = _load_graph(args.file)
-    corr = du.dual_graph(G)
-    gamma = dv.parse_divisor(G, args.klass)
-    print(_fmt_divisor(du.psi_class(corr, gamma)))
-    return PASS
+def _cmd_dual_class(G, gamma) -> None:
+    print(_json(du.psi_class(du.dual_graph(G), gamma)))
 
 
-def _cmd_check_square(args) -> int:
-    G = _load_graph(args.file)
-    corr = du.dual_graph(G)
-    gamma = dv.parse_divisor(G, args.klass)
-    T = _parse_tree(G, args.tree)
-    if du.duality_square_check(corr, _vertex(G, args.vertex), gamma, T):
-        print("commutes")
-        return PASS
-    print("does-not-commute")
-    return FAIL
+def _cmd_check_square(G, v, gamma, T) -> int:
+    ok = du.duality_square_check(du.dual_graph(G), v, gamma, T)
+    return _verdict(ok, "commutes", "does-not-commute")
 
 
-def _cmd_compare(args, torsors: bool) -> int:
-    G = _load_graph(args.file)
-    v = _vertex(G, args.vertex)
-    if torsors:
-        same, witness = sw.compare_torsors(G, v)
-    else:
-        same, witness = sw.compare_bernardi_vertices(G, v, _vertex(G, args.other))
-    if same:
-        print("equal")
-        return PASS
-    print("different " + json.dumps(witness, sort_keys=True))
-    return FAIL
+def _equal_or_witness(same: bool, witness) -> int:
+    return _verdict(same, "equal", "different " + _json(witness))
 
 
-def _cmd_suite(args) -> int:
+def _cmd_compare_vertices(G, v, w) -> int:
+    return _equal_or_witness(*sw.compare_bernardi_vertices(G, v, w))
+
+
+def _cmd_compare_torsors(G, v) -> int:
+    return _equal_or_witness(*sw.compare_torsors(G, v))
+
+
+def _cmd_suite(corpus_dir: str, mirror_dual: bool) -> int:
     corpus = []
     try:
-        names = sorted(os.listdir(args.corpus_dir))
+        names = sorted(os.listdir(corpus_dir))
     except OSError as exc:
         raise TorsorError(f"cannot read corpus directory: {exc}") from exc
     for name in names:
         if not name.endswith(".json"):
             continue
-        G = _load_graph(os.path.join(args.corpus_dir, name))
+        G = _load_graph(os.path.join(corpus_dir, name))
         corpus.append((name[: -len(".json")], G))
-    report = sw.run_theorem_suite(corpus, mirror_dual=args.mirror_dual)
+    report = sw.run_theorem_suite(corpus, mirror_dual=mirror_dual)
     print(report.dump())
     return PASS if report.ok else FAIL
 
 
-def _cmd_search(args) -> int:
-    G = _load_graph(args.file)
+def _cmd_search(G) -> None:
     report = sw.search_conjecture(G)
     for record in report["systems"]:
-        print(json.dumps(record, sort_keys=True))
-    print(
-        json.dumps(
-            {
-                "system_count": report["system_count"],
-                "counterexamples": len(report["counterexamples"]),
-            },
-            sort_keys=True,
-        )
-    )
-    return PASS
+        print(_json(record))
+    n = len(report["counterexamples"])
+    print(_json({"system_count": report["system_count"], "counterexamples": n}))
 
 
-def _cmd_export_dot(args) -> int:
-    G = _load_graph(args.file)
-    T = _parse_tree(G, args.tree)
-    tour = bernardi_tour(G, _vertex(G, args.vertex), args.edge, T)
+def _cmd_export_dot(G, v, e, T) -> None:
+    tour = bn.bernardi_tour(G, v, e, T)
     lines = ["digraph tour {"]
-    for v in G.vertices:
-        lines.append(f'  "{v}";')
+    for u in G.vertices:
+        lines.append(f'  "{u}";')
     for eid, (a, b) in G.edges:
         style = "solid" if eid in T else "dashed"
         lines.append(f'  "{a}" -> "{b}" [label="{eid}", style={style}, dir=none];')
     for i, step in enumerate(tour.steps):
         w = G.other_end(step.edge, step.at_vertex)
-        if step.action == "walk":
-            lines.append(
-                f'  "{step.at_vertex}" -> "{w}" '
-                f'[label="{i}: walk {step.edge}", color=blue, constraint=false];'
-            )
-        else:
-            lines.append(
-                f'  "{step.at_vertex}" -> "{w}" '
-                f'[label="{i}: cut {step.edge}", color=red, style=dotted, constraint=false];'
-            )
+        style = "color=blue" if step.action == "walk" else "color=red, style=dotted"
+        lines.append(
+            f'  "{step.at_vertex}" -> "{w}" '
+            f'[label="{i}: {step.action} {step.edge}", {style}, constraint=false];'
+        )
     lines.append("}")
     print("\n".join(lines))
-    return PASS
+
+
+class Option(NamedTuple):
+    read: Callable | None  # checks the text against the graph; None passes the text on
+    arguments: dict  # argparse keywords
+
+
+_VALUE = {"required": True}
+_MIRROR = "debug: flip the dual-graph convention to show the square failing"
+
+# every option, in the one order main reads them
+OPTIONS = {
+    "corpus_dir": Option(None, {}),
+    "--mirror-dual": Option(None, {"action": "store_true", "help": _MIRROR}),
+    "--vertex": Option(_vertex, _VALUE),
+    "--other": Option(_vertex, _VALUE),
+    "--from": Option(_vertex, _VALUE),
+    "--root": Option(_vertex, _VALUE),
+    "--edge": Option(None, _VALUE),
+    "--divisor": Option(dv.parse_divisor, dict(_VALUE, help="divisor JSON")),
+    "--class": Option(dv.parse_divisor, dict(_VALUE, help="degree-0 divisor JSON")),
+    "--tree": Option(_parse_tree, dict(_VALUE, help="comma-separated edge ids")),
+    "--cycle": Option(_parse_cycle, dict(_VALUE, help="comma-separated edge:tail darts")),
+}
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    # called with the graph (if any), then the option values; prints the answer and
+    # returns the exit code of a check, or None
+    run: Callable[..., int | None]
+    options: tuple[str, ...] = ()
+    graph: bool = True  # the positional argument is a graph file
+
+
+_TOUR = ("--vertex", "--edge", "--tree")
+_ALPHA = ("--vertex", "--edge", "--divisor")
+_ACTION = ("--vertex", "--class", "--tree")
+
+COMMANDS = (
+    Command("info", "vertex/edge counts, genus, faces", _cmd_info),
+    Command("trees", "list all spanning trees", _cmd_trees),
+    Command("break-divisors", "list all break divisors", _cmd_break_divisors),
+    Command("tour", "dump the tour of a spanning tree", _cmd_tour, _TOUR),
+    Command("beta", "break divisor of a spanning tree", _cmd_beta, _TOUR),
+    Command("alpha-r", "spanning tree of a break divisor (right inverse)", _cmd_alpha_r, _ALPHA),
+    Command("alpha-l", "spanning tree of a break divisor (left inverse)", _cmd_alpha_l, _ALPHA),
+    Command("act-bernardi", "apply the tree action via tours", _cmd_act_bernardi, _ACTION),
+    Command("act-rotor", "apply the tree action via rotor-routing", _cmd_act_rotor, _ACTION),
+    Command("rotor-move", "single-chip rotor-routing tree move", _cmd_rotor_move,
+            ("--from", "--root", "--tree")),
+    Command("reversible", "test reversibility of a directed cycle", _cmd_reversible,
+            ("--cycle",)),
+    Command("dual", "emit the dual graph and the edge map", _cmd_dual),
+    Command("dual-class", "push a degree-0 class to the dual", _cmd_dual_class, ("--class",)),
+    Command("check-square", "duality/action commuting square", _cmd_check_square, _ACTION),
+    Command("compare-vertices", "same tree action from two base vertices?",
+            _cmd_compare_vertices, ("--vertex", "--other")),
+    Command("compare-torsors", "tour action vs rotor action at a vertex", _cmd_compare_torsors,
+            ("--vertex",)),
+    Command("suite", "run the theorem suite over a corpus directory", _cmd_suite,
+            ("corpus_dir", "--mirror-dual"), graph=False),
+    Command("search", "rotation-system search over a simple graph", _cmd_search),
+    Command("export-dot", "the tour of a spanning tree as annotated DOT", _cmd_export_dot,
+            _TOUR),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error like any other: one line, exit 2
+        raise TorsorError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="treetorsor",
+        description="divisor theory and spanning-tree torsors on ribbon graphs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(cmd=cmd)
+        if cmd.graph:
+            p.add_argument("file", help="graph file (JSON)")
+        for option in cmd.options:
+            p.add_argument(option, **OPTIONS[option].arguments)
+    return parser
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -363,30 +292,15 @@ _parser: argparse.ArgumentParser | None = None
 def main(argv: list[str] | None = None) -> int:
     global _parser
     _parser = _parser or build_parser()
-    args = _parser.parse_args(argv)
-    handlers = {
-        "info": _cmd_info,
-        "trees": _cmd_trees,
-        "break-divisors": _cmd_break_divisors,
-        "tour": _cmd_tour,
-        "beta": _cmd_beta,
-        "alpha-r": lambda a: _cmd_alpha(a, left=False),
-        "alpha-l": lambda a: _cmd_alpha(a, left=True),
-        "act-bernardi": lambda a: _cmd_act(a, rotor=False),
-        "act-rotor": lambda a: _cmd_act(a, rotor=True),
-        "rotor-move": _cmd_rotor_move,
-        "reversible": _cmd_reversible,
-        "dual": _cmd_dual,
-        "dual-class": _cmd_dual_class,
-        "check-square": _cmd_check_square,
-        "compare-vertices": lambda a: _cmd_compare(a, torsors=False),
-        "compare-torsors": lambda a: _cmd_compare(a, torsors=True),
-        "suite": _cmd_suite,
-        "search": _cmd_search,
-        "export-dot": _cmd_export_dot,
-    }
     try:
-        return handlers[args.command](args)
+        args = _parser.parse_args(argv)
+        cmd = args.cmd
+        G = _load_graph(args.file) if cmd.graph else None
+        values = [G] if cmd.graph else []
+        for option in cmd.options:
+            read, text = OPTIONS[option].read, getattr(args, option.lstrip("-").replace("-", "_"))
+            values.append(read(G, text) if read else text)
+        return cmd.run(*values) or PASS
     except (TorsorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

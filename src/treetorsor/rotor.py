@@ -100,6 +100,8 @@ def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
     tails = [d.tail for d in C]
     if len(set(tails)) != len(tails):
         raise NotACycle("cycle revisits a vertex")
+    if len({d.edge for d in C}) != len(C):
+        raise NotACycle("cycle uses an edge twice")
 
 
 def _unicycle_rotor(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs") -> dict:

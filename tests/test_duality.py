@@ -9,7 +9,7 @@ from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import duality as du
 from treetorsor.errors import DegreeMismatch, HasBridge, NotPlanar
-from treetorsor.ribbon import spanning_trees, trace_faces
+from treetorsor.ribbon import RibbonGraph, spanning_trees, trace_faces
 
 
 def planar_k4():
@@ -41,8 +41,18 @@ def test_dual_rejects_nonplanar():
 
 
 def test_dual_rejects_bridge():
-    with pytest.raises(HasBridge):
+    # the first bridge in file order is named
+    with pytest.raises(HasBridge, match="'e12'"):
         du.dual_graph(corpus.path3())
+    # a triangle with a pendant edge d at vertex 3
+    pendant = RibbonGraph(
+        ["1", "2", "3", "4"],
+        [("a", ("1", "2")), ("b", ("2", "3")), ("c", ("3", "1")), ("d", ("3", "4"))],
+        {"1": ["a", "c"], "2": ["b", "a"], "3": ["c", "d", "b"], "4": ["d"]},
+    )
+    assert trace_faces(pendant).topological_genus == 0
+    with pytest.raises(HasBridge, match="'d'"):
+        du.dual_graph(pendant)
 
 
 def test_dart_map_is_a_bijection():

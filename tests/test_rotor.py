@@ -140,6 +140,10 @@ def test_cycle_validation():
         rt.cycle_is_reversible(G, (Dart("e12", "1"), Dart("e34", "3")))
     with pytest.raises(NotACycle):
         rt.cycle_is_reversible(G, (Dart("zz", "1"),))
+    # one edge there and back is not a cycle; two parallel edges are
+    with pytest.raises(NotACycle):
+        rt.cycle_is_reversible(G, (Dart("e12", "1"), Dart("e12", "2")))
+    assert rt.cycle_is_reversible(corpus.theta(), (Dart("p", "u"), Dart("q", "v")))
 
 
 def test_reversibility_planarity_dichotomy_theta():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from treetorsor import corpus, suite
 from treetorsor.bernardi import bernardi_act
-from treetorsor.cli import main
+from treetorsor.cli import COMMANDS, OPTIONS, main
 from treetorsor.divisors import picard_group
 from treetorsor.errors import NotSimple
 from treetorsor.ribbon import spanning_trees
@@ -329,23 +329,14 @@ def test_cli_input_errors(k3_file, capsys):
     assert main(["act-bernardi", k3_file, "--vertex", "1", "--class", '{"zz": 1}', "--tree", "a,b"]) == 2
     capsys.readouterr()
     tree = ["--tree", "a,b"]
+    # an unknown vertex or a class of nonzero degree: test_cli_each_bad_option_exits_2
     cases = [
-        # a class of nonzero degree, for both actions alike
-        ["act-rotor", k3_file, "--vertex", "1", "--class", '{"2": 1}'] + tree,
-        ["act-bernardi", k3_file, "--vertex", "1", "--class", '{"2": 1}'] + tree,
-        ["dual-class", k3_file, "--class", '{"2": 1}'],
-        # unknown vertex arguments
-        ["tour", k3_file, "--vertex", "9", "--edge", "a"] + tree,
-        ["beta", k3_file, "--vertex", "9", "--edge", "a"] + tree,
-        ["alpha-r", k3_file, "--vertex", "9", "--edge", "a", "--divisor", '{"3": 1}'],
-        ["act-rotor", k3_file, "--vertex", "9", "--class", "{}"] + tree,
-        ["check-square", k3_file, "--vertex", "9", "--class", "{}"] + tree,
-        ["rotor-move", k3_file, "--from", "2", "--root", "9"] + tree,
-        ["rotor-move", k3_file, "--from", "9", "--root", "1"] + tree,
-        ["compare-vertices", k3_file, "--vertex", "1", "--other", "9"],
-        ["compare-torsors", k3_file, "--vertex", "9"],
         # a boolean coefficient
         ["act-rotor", k3_file, "--vertex", "1", "--class", '{"1": true, "2": -1}'] + tree,
+        # usage errors: a value read as a flag, a missing option, an unknown command
+        ["act-rotor", k3_file, "--vertex", "1", "--class", "-Infinity"] + tree,
+        ["tour", k3_file, "--vertex", "1"],
+        ["no-such-command", k3_file],
     ]
     # rotation values that are not lists of edge ids
     k3 = json.loads(Path(k3_file).read_text())
@@ -363,6 +354,53 @@ def test_cli_input_errors(k3_file, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+# a valid k3 value and a bad one for every option of a graph command; the
+# library checks --edge, the other options have a reader
+K3_VALUES = {
+    "--vertex": ("1", "9"),
+    "--other": ("2", "9"),
+    "--from": ("2", "9"),
+    "--root": ("1", "9"),
+    "--edge": ("a", "zz"),
+    "--divisor": ('{"3": 1}', '{"zz": 1}'),
+    "--class": ('{"2": 1, "1": -1}', '{"2": 1}'),
+    "--tree": ("a,b", "a,b,c"),
+    "--cycle": ("a:1,b:2,c:3", "a:1,a:2"),
+}
+GRAPH_COMMANDS = [cmd for cmd in COMMANDS if cmd.graph]
+
+
+def _k3_argv(cmd, k3_file, bad=None):
+    argv = [cmd.name, k3_file]
+    for option in cmd.options:
+        good, wrong = K3_VALUES[option]
+        argv += [option, wrong if option == bad else good]
+    return argv
+
+
+def test_cli_options_are_read_in_one_order():
+    order = list(OPTIONS)
+    for cmd in COMMANDS:
+        assert list(cmd.options) == sorted(cmd.options, key=order.index), cmd.name
+
+
+@pytest.mark.parametrize("cmd", GRAPH_COMMANDS, ids=[cmd.name for cmd in GRAPH_COMMANDS])
+def test_cli_each_bad_option_exits_2(cmd, k3_file, capsys):
+    assert main(_k3_argv(cmd, k3_file)) == 0
+    capsys.readouterr()
+    for option in cmd.options:
+        argv = _k3_argv(cmd, k3_file, bad=option)
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_cli_first_bad_option_is_reported(k3_file, capsys):
+    argv = ["tour", k3_file, "--vertex", "9", "--edge", "a", "--tree", "a,b,c"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown vertex '9'\n"
 
 
 K3_FILE = json.loads(corpus.k3().to_json())
