@@ -2,6 +2,9 @@
 two Picard-group actions on spanning trees, planar duality, and a theorem
 verification suite."""
 
+import sys
+
+from . import ribbon
 from .bernardi import (
     Tour,
     alpha_left,
@@ -62,6 +65,23 @@ from .suite import (
     search_conjecture,
 )
 
+
+def clear_caches() -> None:
+    """Empty every module-level cache of the package: the ``lru_cache`` and
+    ``rotation_free`` caches, the skeleton table and the CLI's parsers.  The
+    next call then computes from scratch, as in a new process."""
+    prefix = __name__ + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    ribbon._SKELETONS.clear()
+    cli = sys.modules.get(prefix + "cli")  # its parsers exist only once it is imported
+    if cli:
+        cli._parsers.clear()
+
+
 __all__ = [
     "Dart",
     "RibbonGraph",
@@ -108,6 +128,7 @@ __all__ = [
     "compare_torsors",
     "run_theorem_suite",
     "search_conjecture",
+    "clear_caches",
 ]
 
 __version__ = "1.0.0"

@@ -10,6 +10,10 @@ option.  ``main`` checks the inputs in one fixed order: the graph file first,
 then the options in ``OPTIONS`` order, then the command's own preconditions
 (planarity, say) inside the library call.  The first bad input is the one
 reported, as one ``error:`` line.
+
+``main`` builds the parser of the command named by its first argument only,
+and every command's parser when that word names none (no arguments,
+``--help``, an unknown command); each is built once per import.
 """
 
 from __future__ import annotations
@@ -163,7 +167,10 @@ def _cmd_suite(corpus_dir: str, mirror_dual: bool) -> int:
     for name in names:
         if not name.endswith(".json"):
             continue
-        G = _load_graph(os.path.join(corpus_dir, name))
+        try:
+            G = _load_graph(os.path.join(corpus_dir, name))
+        except TorsorError as exc:
+            raise TorsorError(f"{name}: {exc}") from exc
         corpus.append((name[: -len(".json")], G))
     report = sw.run_theorem_suite(corpus, mirror_dual=mirror_dual)
     print(report.dump())
@@ -270,13 +277,15 @@ class _Parser(argparse.ArgumentParser):
         raise TorsorError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, or of every command when ``name``
+    names none (no arguments, ``--help`` or an unknown word)."""
     parser = _Parser(
         prog="treetorsor",
         description="divisor theory and spanning-tree torsors on ribbon graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    for cmd in [cmd for cmd in COMMANDS if cmd.name == name] or COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         p.set_defaults(cmd=cmd)
         if cmd.graph:
@@ -286,14 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
+# one parser per command name, None for every other first word; emptied by clear_caches
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
+_NAMES = {cmd.name for cmd in COMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    _parser = _parser or build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv and argv[0] in _NAMES else None
+    if name not in _parsers:
+        _parsers[name] = build_parser(name)
     try:
-        args = _parser.parse_args(argv)
+        args = _parsers[name].parse_args(argv)
         cmd = args.cmd
         G = _load_graph(args.file) if cmd.graph else None
         values = [G] if cmd.graph else []

@@ -93,7 +93,7 @@ def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
         raise NotACycle("empty dart sequence")
     for d in C:
         if d.edge not in G.ends or d.tail not in (G.ends[d.edge]):
-            raise NotACycle(f"dart {d} is not a dart of the graph")
+            raise NotACycle(f"dart {d.edge}:{d.tail} is not a dart of the graph")
     for d, nxt in zip(C, C[1:] + C[:1]):
         if G.head(d) != nxt.tail:
             raise NotACycle("darts do not chain head-to-tail")

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import bernardi
+from treetorsor import bernardi, clear_caches
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
@@ -20,7 +20,6 @@ from treetorsor.bernardi import (
     shift_difference_check,
 )
 from treetorsor.errors import NotBreakDivisor, NotIncident
-from treetorsor import ribbon
 from treetorsor.ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
 
 
@@ -234,8 +233,7 @@ def test_action_builds_no_break_divisor_table():
     K6 = complete_graph(6)
     grid = grid_graph(3, 4)
     corr = du.dual_graph(grid)
-    for cached in (bk._enumerate, bk._break_rep, bernardi._act):
-        cached.cache_clear()
+    clear_caches()
     T = bernardi_act(K6, "2", {"3": 1, "5": -1}, search_tree(K6))
     assert is_spanning_tree(K6, T)
     assert du.duality_square_check(corr, "1,1", {"0,0": 1, "2,3": -1}, search_tree(grid))
@@ -257,10 +255,7 @@ def test_break_representative_grid_10x10():
 def test_inverses_and_actions_enumerate_no_trees():
     # membership is decided by orientation, so neither the inverses nor the
     # actions list spanning trees
-    for module in (ribbon, dv, bk, bernardi, du):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+    clear_caches()
     grid = grid_graph(3, 4)
     for G in (complete_graph(6), grid):
         v, T = G.vertices[1], search_tree(G)

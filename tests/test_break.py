@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import bernardi
+from treetorsor import bernardi, clear_caches
 from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
@@ -363,8 +363,7 @@ def test_rotation_free_caches_answer_for_every_rotation_system():
 
 
 def test_rotation_systems_share_the_rotation_free_caches():
-    for fn in ROTATION_FREE + [bernardi._act]:
-        fn.cache_clear()
+    clear_caches()
     search_conjecture(corpus.k4())
     assert spanning_trees.cache_info().misses == 1
     assert bk._break_rep.cache_info().misses <= dv.picard_group(corpus.k4()).order == 16

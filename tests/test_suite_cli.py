@@ -1,18 +1,20 @@
 """The theorem suite, the conjecture search, and the command-line surface."""
 
+import argparse
 import copy
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import corpus, suite
+from treetorsor import cli, clear_caches, corpus, ribbon, suite
 from treetorsor.bernardi import bernardi_act
-from treetorsor.cli import COMMANDS, OPTIONS, main
+from treetorsor.cli import COMMANDS, OPTIONS, build_parser, main
 from treetorsor.divisors import picard_group
 from treetorsor.errors import NotSimple
 from treetorsor.ribbon import spanning_trees
@@ -354,6 +356,20 @@ def test_cli_input_errors(k3_file, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    # a bad corpus file is named; a dart is written as on the command line
+    named = {("reversible", k3_file, "--cycle", "a"): "error: dart a: is not a dart of the graph\n"}
+    for name, text, message in (
+        ("z.json", '{"vertices": ["1"], "edges": [], "rotation": {"1": []}}', "graph has no edges\n"),
+        ("y.json", "{", "invalid JSON: "),
+    ):
+        bad_dir = Path(k3_file).with_name(f"corpus-{name}")
+        bad_dir.mkdir()
+        (bad_dir / name).write_text(text)
+        named[("suite", str(bad_dir))] = f"error: {name}: {message}"
+    for argv, message in named.items():
+        assert main(list(argv)) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message), (argv, err)
 
 
 # a valid k3 value and a bad one for every option of a graph command; the
@@ -401,6 +417,55 @@ def test_cli_first_bad_option_is_reported(k3_file, capsys):
     argv = ["tour", k3_file, "--vertex", "9", "--edge", "a", "--tree", "a,b,c"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: unknown vertex '9'\n"
+
+
+def _subparsers(parser):
+    """The subparsers of ``parser``, by command name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_build_parser_builds_only_the_named_command():
+    full = _subparsers(build_parser())
+    assert list(full) == [cmd.name for cmd in COMMANDS]
+    for cmd in COMMANDS:
+        one = _subparsers(build_parser(cmd.name))
+        assert list(one) == [cmd.name]
+        assert one[cmd.name].format_help() == full[cmd.name].format_help()
+    assert build_parser("no-such-command").format_help() == build_parser().format_help()
+
+
+def test_main_keeps_one_parser_per_command(k3_file):
+    clear_caches()
+    assert main(["info", k3_file]) == 0
+    assert list(cli._parsers) == ["info"]
+    assert list(_subparsers(cli._parsers["info"])) == ["info"]
+    for i in range(10):
+        assert main([f"no-such-command-{i}", k3_file]) == 2
+    assert len(cli._parsers) <= 2
+
+
+def _package_caches():
+    """Every lru cache reachable from a module or class of the package."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treetorsor."):
+            values = list(vars(module).values())
+            values += [v for c in values if isinstance(c, type) for v in vars(c).values()]
+            found.update((id(v), v) for v in values if hasattr(v, "cache_info"))
+    return list(found.values())
+
+
+def test_clear_caches_empties_every_cache():
+    k4 = [("k4", corpus.k4())]
+    first = suite.run_theorem_suite(k4).dump()
+    caches = _package_caches()
+    assert len(caches) >= 13
+    assert any(c.cache_info().currsize for c in caches) and ribbon._SKELETONS
+    clear_caches()
+    assert [c for c in caches if c.cache_info().currsize] == []
+    assert ribbon._SKELETONS == {}
+    assert suite.run_theorem_suite(k4).dump() == first
 
 
 K3_FILE = json.loads(corpus.k3().to_json())
