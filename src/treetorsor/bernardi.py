@@ -7,6 +7,10 @@ the forward map.  The two inverse reconstructions replay the same state
 machine on G minus the set of edges cut so far, in the rotation G induces
 there, deciding walk vs cut by whether the divisor left is a break divisor of
 that minor, which one orientation of its edges decides.
+
+Cached answers share their objects: every tree returned is the one object
+per spanning tree in ``ribbon._shared_tree``, and every tour step is the one
+``TourStep`` per (vertex, edge, action).
 """
 
 from __future__ import annotations
@@ -18,13 +22,17 @@ from typing import Mapping, NamedTuple
 from . import breakdiv as bk
 from . import divisors as dv
 from .errors import NotBreakDivisor, NotIncident
-from .ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
+from .ribbon import RibbonGraph, _shared_tree, is_spanning_tree, reach, spanning_trees
 
 
 class TourStep(NamedTuple):
     at_vertex: str
     edge: str
     action: str  # "walk" or "cut"
+
+
+# one step object per (vertex, edge, action), shared by every tour
+_tour_step = lru_cache(maxsize=None)(TourStep)
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,10 @@ def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
     total = 2 * len(G.edges)
     while True:
         if cur_e in T:
-            steps.append(TourStep(cur_v, cur_e, "walk"))
+            steps.append(_tour_step(cur_v, cur_e, "walk"))
             cur_v = G.other_end(cur_e, cur_v)
         else:
-            steps.append(TourStep(cur_v, cur_e, "cut"))
+            steps.append(_tour_step(cur_v, cur_e, "cut"))
             eta.setdefault(cur_e, cur_v)
         cur_e = G.next_edge(cur_v, cur_e)
         if (cur_v, cur_e) == (v, e):
@@ -110,19 +118,20 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
             raise NotBreakDivisor("inverse reconstruction failed to terminate")
         w = G.other_end(cur_e, cur_v)
         i = G.vertex_pos(w if left else cur_v)
-        trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
-        cut = removed | {cur_e}
-        if cur_e not in tree and dt[i] > 0 and bk._is_break(G, cut, trial):
-            dt, removed = trial, cut
-            cur_e = turn(cur_v, cur_e)
-        else:
-            tree.add(cur_e)
-            cur_v = w
-            cur_e = turn(w, cur_e)
+        if cur_e not in tree and dt[i] > 0:
+            trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
+            cut = removed | {cur_e}
+            if bk._is_break(G, cut, trial):
+                dt, removed = trial, cut
+                cur_e = turn(cur_v, cur_e)
+                continue
+        tree.add(cur_e)
+        cur_v = w
+        cur_e = turn(w, cur_e)
     result = frozenset(tree)
     if not is_spanning_tree(G, result):
         raise NotBreakDivisor("input divisor is not a break divisor")
-    return result
+    return _shared_tree(G, result)
 
 
 def alpha_right(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozenset:

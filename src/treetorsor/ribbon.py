@@ -120,8 +120,9 @@ class RibbonGraph:
                 )
             k = len(cycle)
             for i, e in enumerate(cycle):
-                self._succ[(v, e)] = cycle[(i + 1) % k]
-                self._pred[(v, e)] = cycle[(i - 1) % k]
+                dart = (v, e)
+                self._succ[dart] = cycle[(i + 1) % k]
+                self._pred[dart] = cycle[(i - 1) % k]
 
         self._hash = hash((self.vertices, self.edges, tuple(sorted(self.rotation.items()))))
         key = (self.vertices, self.edges)
@@ -304,6 +305,17 @@ def spanning_trees(G: RibbonGraph) -> tuple[SpanningTree, ...]:
     root = G.vertices[:1]
     subsets = map(frozenset, combinations(G.edge_ids, n - 1))
     return tuple(T for T in subsets if len(reach(G, root, T)) == n)
+
+
+@rotation_free
+def _shared_tree(G: RibbonGraph, T: frozenset) -> frozenset:
+    """The first tree equal to ``T`` seen for the underlying graph of ``G``.
+
+    The actions return their trees through here, so their caches hold one
+    object per spanning tree however many entries and rotation systems
+    reach it.
+    """
+    return T
 
 
 def is_spanning_tree(G: RibbonGraph, T: frozenset) -> bool:

@@ -4,6 +4,9 @@ A rotor configuration assigns each non-sink vertex an outgoing edge.  One step
 rotates the rotor at the chip vertex to the next edge in the rotation and
 moves the chip across that edge.  Sink-free dynamics on unicycle states drive
 the cycle reversibility test behind the planarity criterion.
+
+Every tree ``rotor_move`` returns is the one object per spanning tree in
+``ribbon._shared_tree``, so its cache holds no copies.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Mapping
 
 from . import divisors as dv
 from .errors import ChipAtSink, NotACycle
-from .ribbon import Dart, RibbonGraph, is_spanning_tree, reach, rotation_free
+from .ribbon import Dart, RibbonGraph, _shared_tree, is_spanning_tree, reach, rotation_free
 
 
 def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
@@ -46,7 +49,7 @@ def rotor_move(G: RibbonGraph, T: frozenset, x: str, y: str) -> frozenset:
             raise AssertionError("rotor walk failed to reach the sink")
     result = frozenset(rotor.values())
     assert is_spanning_tree(G, result), "terminal rotor state must be a spanning tree"
-    return result
+    return _shared_tree(G, result)
 
 
 def rotor_act(

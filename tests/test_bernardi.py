@@ -21,6 +21,7 @@ from treetorsor.bernardi import (
 )
 from treetorsor.errors import NotBreakDivisor, NotIncident
 from treetorsor.ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
+from treetorsor.rotor import rotor_act
 
 
 def random_graph(seed):
@@ -238,6 +239,34 @@ def test_action_builds_no_break_divisor_table():
     assert is_spanning_tree(K6, T)
     assert du.duality_square_check(corr, "1,1", {"0,0": 1, "2,3": -1}, search_tree(grid))
     assert bk._enumerate.cache_info().currsize == 0
+
+
+def test_actions_return_one_object_per_tree():
+    clear_caches()
+    results = []
+    for G in corpus.rotation_systems(corpus.k4()):
+        q = G.vertices[0]
+        for v in G.vertices:
+            for u in G.vertices[1:]:
+                gamma = {u: 1, q: -1}
+                for T in spanning_trees(G):
+                    results += [bernardi_act(G, v, gamma, T), rotor_act(G, v, gamma, T)]
+    assert len(results) == 2 * 16 * 4 * 3 * 16
+    assert len({id(T) for T in results}) == len(set(results))
+
+
+def test_tours_share_one_step_object_per_step():
+    K4 = corpus.k4()
+    steps = [
+        step
+        for G in corpus.rotation_systems(K4)
+        for v in G.vertices
+        for e in G.incident[v]
+        for T in spanning_trees(G)
+        for step in bernardi_tour(G, v, e, T).steps
+    ]
+    assert len(steps) == 16 * 12 * 16 * 12
+    assert len({id(s) for s in steps}) <= 4 * len(K4.edges)
 
 
 def test_break_representative_grid_10x10():

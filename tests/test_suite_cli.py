@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import cli, clear_caches, corpus, ribbon, suite
+from treetorsor import bernardi, cli, clear_caches, corpus, ribbon, suite
 from treetorsor.bernardi import bernardi_act
 from treetorsor.cli import COMMANDS, OPTIONS, build_parser, main
 from treetorsor.divisors import picard_group
@@ -461,6 +461,7 @@ def test_clear_caches_empties_every_cache():
     first = suite.run_theorem_suite(k4).dump()
     caches = _package_caches()
     assert len(caches) >= 13
+    assert {id(ribbon._shared_tree), id(bernardi._tour_step)} <= {id(c) for c in caches}
     assert any(c.cache_info().currsize for c in caches) and ribbon._SKELETONS
     clear_caches()
     assert [c for c in caches if c.cache_info().currsize] == []
