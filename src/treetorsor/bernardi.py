@@ -8,9 +8,9 @@ machine on G minus the set of edges cut so far, in the rotation G induces
 there, deciding walk vs cut by whether the divisor left is a break divisor of
 that minor, which one orientation of its edges decides.
 
-Cached answers share their objects: every tree returned is the one object
-per spanning tree in ``ribbon._shared_tree``, and every tour step is the one
-``TourStep`` per (vertex, edge, action).
+Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
+spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached, not its
+tour, which is walked again on each beta miss and each ``bernardi_tour`` call.
 """
 
 from __future__ import annotations
@@ -21,18 +21,14 @@ from typing import Mapping, NamedTuple
 
 from . import breakdiv as bk
 from . import divisors as dv
-from .errors import NotBreakDivisor, NotIncident
-from .ribbon import RibbonGraph, _shared_tree, is_spanning_tree, reach, spanning_trees
+from .errors import NotBreakDivisor, NotIncident, NotSpanningTree
+from .ribbon import RibbonGraph, _shared_tree, reach, spanning_trees
 
 
 class TourStep(NamedTuple):
     at_vertex: str
     edge: str
     action: str  # "walk" or "cut"
-
-
-# one step object per (vertex, edge, action), shared by every tour
-_tour_step = lru_cache(maxsize=None)(TourStep)
 
 
 @dataclass(frozen=True)
@@ -54,20 +50,20 @@ def _check_incident(G: RibbonGraph, v: str, e: str) -> None:
         raise NotIncident(f"edge {e!r} is not incident to vertex {v!r}")
 
 
-@lru_cache(maxsize=None)
 def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
     """The tour of ``T`` with initial data (v, e): exactly 2|E| steps."""
     _check_incident(G, v, e)
+    T = _shared_tree(G, T)
     steps: list[TourStep] = []
     eta: dict[str, str] = {}
     cur_v, cur_e = v, e
     total = 2 * len(G.edges)
     while True:
         if cur_e in T:
-            steps.append(_tour_step(cur_v, cur_e, "walk"))
+            steps.append(TourStep(cur_v, cur_e, "walk"))
             cur_v = G.other_end(cur_e, cur_v)
         else:
-            steps.append(_tour_step(cur_v, cur_e, "cut"))
+            steps.append(TourStep(cur_v, cur_e, "cut"))
             eta.setdefault(cur_e, cur_v)
         cur_e = G.next_edge(cur_v, cur_e)
         if (cur_v, cur_e) == (v, e):
@@ -77,6 +73,7 @@ def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
     return Tour((v, e), tuple(steps), eta)
 
 
+@lru_cache(maxsize=None)
 def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivisor:
     """One chip at the first-cut endpoint of each non-tree edge."""
     tour = bernardi_tour(G, v, e, T)
@@ -128,10 +125,10 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
         tree.add(cur_e)
         cur_v = w
         cur_e = turn(w, cur_e)
-    result = frozenset(tree)
-    if not is_spanning_tree(G, result):
-        raise NotBreakDivisor("input divisor is not a break divisor")
-    return _shared_tree(G, result)
+    try:
+        return _shared_tree(G, frozenset(tree))
+    except NotSpanningTree:
+        raise NotBreakDivisor("input divisor is not a break divisor") from None
 
 
 def alpha_right(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozenset:
@@ -200,7 +197,7 @@ def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> Vert
         arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
 
     # the components of T - v entered through the arc's tree edges
-    forest = T.difference(G.incident[v])
+    forest = _shared_tree(G, T).difference(G.incident[v])
 
     def side(arc: tuple[str, ...]) -> frozenset:
         return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))

@@ -46,9 +46,7 @@ def _parse_tree(G: rb.RibbonGraph, text: str) -> frozenset:
     for e in edges:
         if e not in G.ends:
             raise TorsorError(f"unknown edge {e!r} in tree argument")
-    if not rb.is_spanning_tree(G, edges):
-        raise TorsorError(f"{sorted(edges)} is not a spanning tree")
-    return edges
+    return rb._shared_tree(G, edges)
 
 
 def _vertex(G: rb.RibbonGraph, v: str) -> str:

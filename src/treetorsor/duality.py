@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from . import divisors as dv
 from .bernardi import _act, bernardi_act
 from .errors import HasBridge, NotPlanar
-from .ribbon import Dart, RibbonGraph, reach, trace_faces
+from .ribbon import Dart, RibbonGraph, _shared_tree, reach, trace_faces
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
 
 def dual_tree(corr: DualCorrespondence, T: frozenset) -> frozenset:
     """The complementary dual tree: the primal non-tree edges (the dual keeps ids)."""
-    return frozenset(e for e in corr.primal.edge_ids if e not in T)
+    return frozenset(corr.primal.ends.keys() - _shared_tree(corr.primal, T))
 
 
 def _chain_for(G: RibbonGraph, D: Mapping[str, int]) -> dict[Dart, int]:

@@ -39,6 +39,10 @@ class NotIncident(TorsorError):
     """The given edge is not incident to the given vertex."""
 
 
+class NotSpanningTree(TorsorError):
+    """The edge set handed in as a tree is not a spanning tree of the graph."""
+
+
 class NotBreakDivisor(TorsorError):
     """The divisor handed to an inverse Bernardi algorithm is not a break divisor."""
 

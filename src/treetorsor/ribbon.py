@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EdgeInTree, ParseError, ValidationError
+from .errors import EdgeInTree, NotSpanningTree, ParseError, ValidationError
 
 
 class Dart(NamedTuple):
@@ -309,12 +309,14 @@ def spanning_trees(G: RibbonGraph) -> tuple[SpanningTree, ...]:
 
 @rotation_free
 def _shared_tree(G: RibbonGraph, T: frozenset) -> frozenset:
-    """The first tree equal to ``T`` seen for the underlying graph of ``G``.
-
-    The actions return their trees through here, so their caches hold one
-    object per spanning tree however many entries and rotation systems
-    reach it.
+    """The first tree equal to ``T`` seen for the underlying graph of ``G``;
+    a non-tree raises ``NotSpanningTree``.  Every tree a public function takes
+    or returns passes here, so each distinct tree is checked once per
+    underlying graph (a raise is not cached) and the caches hold one object
+    per spanning tree, however many entries and rotation systems reach it.
     """
+    if not is_spanning_tree(G, T):
+        raise NotSpanningTree(f"{sorted(T)} is not a spanning tree")
     return T
 
 
@@ -355,7 +357,7 @@ def reach(
 
 def tree_path(G: RibbonGraph, T: frozenset, start: str, goal: str) -> list[Dart]:
     """The unique path in ``T`` from ``start`` to ``goal`` as a dart sequence."""
-    parent = reach(G, [goal], T)
+    parent = reach(G, [goal], _shared_tree(G, T))
     path: list[Dart] = []
     v = start
     while v != goal:
@@ -372,7 +374,7 @@ def fundamental_cycle(
     The first dart leaves ``tail`` (default: the first endpoint of ``e`` in
     file order); the rest of the cycle runs through ``T``.
     """
-    if e in T:
+    if e in _shared_tree(G, T):
         raise EdgeInTree(f"edge {e!r} belongs to the spanning tree")
     a, b = G.ends[e]
     if tail is None:

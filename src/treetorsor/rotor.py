@@ -5,8 +5,8 @@ rotates the rotor at the chip vertex to the next edge in the rotation and
 moves the chip across that edge.  Sink-free dynamics on unicycle states drive
 the cycle reversibility test behind the planarity criterion.
 
-Every tree ``rotor_move`` returns is the one object per spanning tree in
-``ribbon._shared_tree``, so its cache holds no copies.
+Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
+spanning tree, ``NotSpanningTree`` for a non-tree).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from typing import Mapping
 
 from . import divisors as dv
 from .errors import ChipAtSink, NotACycle
-from .ribbon import Dart, RibbonGraph, _shared_tree, is_spanning_tree, reach, rotation_free
+from .ribbon import Dart, RibbonGraph, _shared_tree, reach, rotation_free
 
 
 def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
     """Each non-root vertex points along its unique tree path toward the root."""
-    parent = reach(G, [root], T)
+    parent = reach(G, [root], _shared_tree(G, T))
     return {z: parent[z] for z in G.vertices if z != root}
 
 
@@ -47,9 +47,7 @@ def rotor_move(G: RibbonGraph, T: frozenset, x: str, y: str) -> frozenset:
         budget -= 1
         if budget < 0:  # pragma: no cover - rotor walks with a sink always halt
             raise AssertionError("rotor walk failed to reach the sink")
-    result = frozenset(rotor.values())
-    assert is_spanning_tree(G, result), "terminal rotor state must be a spanning tree"
-    return _shared_tree(G, result)
+    return _shared_tree(G, frozenset(rotor.values()))
 
 
 def rotor_act(
@@ -61,7 +59,7 @@ def rotor_act(
     u != v, so the action is at most sum(deg) single-chip moves.
     """
     reduced = dv._q_reduce(G, dv.class_to_tuple(G, gamma), v)
-    result = T
+    result = _shared_tree(G, T)
     for u, c in zip(G.vertices, reduced):
         if u != v:
             for _ in range(c):

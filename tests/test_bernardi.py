@@ -1,6 +1,8 @@
 """Tours, the tree -> break divisor map, its inverses, and the tree action."""
 
+import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +20,19 @@ from treetorsor.bernardi import (
     bernardi_tour,
     beta_table,
     shift_difference_check,
+    vertex_split,
 )
-from treetorsor.errors import NotBreakDivisor, NotIncident
-from treetorsor.ribbon import RibbonGraph, is_spanning_tree, reach, spanning_trees
-from treetorsor.rotor import rotor_act
+from treetorsor.errors import NotBreakDivisor, NotIncident, NotSpanningTree
+from treetorsor.ribbon import (
+    RibbonGraph,
+    fundamental_cycle,
+    is_spanning_tree,
+    reach,
+    spanning_trees,
+    tree_path,
+)
+from treetorsor.rotor import rotor_act, rotor_move, rotors_from_tree
+from treetorsor.suite import search_conjecture
 
 
 def random_graph(seed):
@@ -255,18 +266,43 @@ def test_actions_return_one_object_per_tree():
     assert len({id(T) for T in results}) == len(set(results))
 
 
-def test_tours_share_one_step_object_per_step():
-    K4 = corpus.k4()
-    steps = [
-        step
-        for G in corpus.rotation_systems(K4)
-        for v in G.vertices
-        for e in G.incident[v]
-        for T in spanning_trees(G)
-        for step in bernardi_tour(G, v, e, T).steps
+def test_no_tour_is_kept():
+    # beta is cached, not the tour it is read from
+    clear_caches()
+    search_conjecture(corpus.k4())
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, bernardi.Tour)]
+    T = spanning_trees(corpus.k4())[0]
+    beta = bernardi_beta(corpus.k4(), "1", "e12", T)
+    assert bernardi_beta(corpus.k4(), "1", "e12", frozenset(sorted(T))) is beta
+
+
+NON_TREES = [
+    (corpus.theta(planar=False), frozenset({"p", "q", "r"})),
+    (corpus.theta(planar=False), frozenset()),
+    (corpus.k4(), frozenset({"e12", "e13", "e23"})),
+]
+
+
+@pytest.mark.parametrize("G, T", NON_TREES)
+def test_every_tree_argument_is_checked(G, T):
+    v, u = G.vertices[0], G.vertices[-1]
+    e1, e2 = G.rotation[v][:2]
+    calls = [
+        (bernardi_tour, G, v, e1, T),
+        (bernardi_beta, G, v, e1, T),
+        (rotor_move, G, T, u, v),
+        (rotors_from_tree, G, T, v),
+        (tree_path, G, T, u, v),
+        (fundamental_cycle, G, T, G.edge_ids[-1]),
+        (vertex_split, G, v, e1, e2, T),
+        (shift_difference_check, G, v, e1, e2, T),
     ]
-    assert len(steps) == 16 * 12 * 16 * 12
-    assert len({id(s) for s in steps}) <= 4 * len(K4.edges)
+    for gamma in ({}, {u: 1, v: -1}):
+        calls += [(bernardi_act, G, v, gamma, T), (rotor_act, G, v, gamma, T)]
+    for fn, *args in calls:
+        with pytest.raises(NotSpanningTree, match=re.escape(f"{sorted(T)} is not a spanning tree")):
+            fn(*args)
 
 
 def test_break_representative_grid_10x10():

@@ -8,7 +8,7 @@ import pytest
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import duality as du
-from treetorsor.errors import DegreeMismatch, HasBridge, NotPlanar
+from treetorsor.errors import DegreeMismatch, HasBridge, NotPlanar, NotSpanningTree
 from treetorsor.ribbon import RibbonGraph, spanning_trees, trace_faces
 
 
@@ -71,6 +71,13 @@ def test_dual_trees_biject():
         assert duals == set(spanning_trees(corr.dual))
         for T in spanning_trees(G):
             assert len(du.dual_tree(corr, T)) == G.genus_comb
+
+
+def test_dual_tree_rejects_a_non_tree():
+    corr = du.dual_graph(corpus.theta(planar=True))
+    for T in (frozenset(), frozenset({"p", "q"}), frozenset({"p", "q", "r"})):
+        with pytest.raises(NotSpanningTree):
+            du.dual_tree(corr, T)
 
 
 def test_boundary_of_chain():

@@ -5,11 +5,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import corpus
-from treetorsor.errors import EdgeInTree, ParseError, ValidationError
+from treetorsor import clear_caches, corpus
+from treetorsor.errors import EdgeInTree, NotSpanningTree, ParseError, ValidationError
 from treetorsor.ribbon import (
     Dart,
     RibbonGraph,
+    _shared_tree,
     face_successor,
     fundamental_cycle,
     is_spanning_tree,
@@ -217,6 +218,24 @@ def test_reach_is_the_component_of_the_sources(seed, pick):
             assert e in allowed and G.other_end(e, v) in order[:i]
     assert set(reach(G, sources, allowed, lifo=True)) == set(found)
     assert set(reach(G, sources)) == set(G.vertices)
+
+
+@given(st.integers(0, 200), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_shared_tree_is_the_spanning_tree_check(seed, pick):
+    G = random_graph(seed)
+    rng = random.Random(pick)
+    size = rng.choice([len(G.vertices) - 1, rng.randint(0, len(G.edges))])
+    T = frozenset(rng.sample(G.edge_ids, size))
+    uf = _UnionFind(G.vertices)
+    is_tree = size == len(G.vertices) - 1 and all(uf.union(*G.ends[e]) for e in T)
+    clear_caches()
+    if not is_tree:
+        with pytest.raises(NotSpanningTree):
+            _shared_tree(G, T)
+    else:
+        assert _shared_tree(G, T) is T
+        assert _shared_tree(G, frozenset(sorted(T))) is T
 
 
 def test_tree_path_endpoints():

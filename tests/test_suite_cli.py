@@ -461,7 +461,7 @@ def test_clear_caches_empties_every_cache():
     first = suite.run_theorem_suite(k4).dump()
     caches = _package_caches()
     assert len(caches) >= 13
-    assert {id(ribbon._shared_tree), id(bernardi._tour_step)} <= {id(c) for c in caches}
+    assert {id(ribbon._shared_tree), id(bernardi.bernardi_beta)} <= {id(c) for c in caches}
     assert any(c.cache_info().currsize for c in caches) and ribbon._SKELETONS
     clear_caches()
     assert [c for c in caches if c.cache_info().currsize] == []
