@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 from . import breakdiv as bk
 from . import divisors as dv
 from .errors import NotBreakDivisor, NotIncident, NotSpanningTree
-from .ribbon import RibbonGraph, _shared_tree, reach, spanning_trees
+from .ribbon import RibbonGraph, _shared_tree, known_vertex, reach, spanning_trees
 
 
 class TourStep(NamedTuple):
@@ -46,7 +46,7 @@ class Tour:
 
 
 def _check_incident(G: RibbonGraph, v: str, e: str) -> None:
-    if e not in G.incident[v]:
+    if e not in G.incident[known_vertex(G, v)]:
         raise NotIncident(f"edge {e!r} is not incident to vertex {v!r}")
 
 
@@ -166,7 +166,7 @@ def bernardi_act(
     independent of that choice.
     """
     if e is None:
-        e = G.rotation[v][0]
+        e = G.rotation[known_vertex(G, v)][0]
     _check_incident(G, v, e)
     key = dv._q_reduce(G, dv.class_to_tuple(G, gamma), G.vertices[0])
     return _act(G, v, e, key, T)
@@ -187,22 +187,15 @@ def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> Vert
     _check_incident(G, v, e1)
     _check_incident(G, v, e2)
     cycle = G.rotation[v]
-    i1, i2 = cycle.index(e1), cycle.index(e2)
-    k = len(cycle)
-    if e1 == e2:
-        arc_i = tuple(cycle[(i1 + j) % k] for j in range(k))
-        arc_j: tuple[str, ...] = ()
-    else:
-        arc_i = tuple(cycle[(i1 + j) % k] for j in range((i2 - i1) % k))
-        arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
-
-    # the components of T - v entered through the arc's tree edges
+    k, i = len(cycle), cycle.index(e1)
+    # the first arc ends where e2 begins; it is all of rotation(v) when e1 == e2
+    cut = i + ((cycle.index(e2) - i) % k or k)
+    twice = cycle + cycle
+    arc_first, arc_second = twice[i:cut], twice[cut : i + k]
+    # T spans, so the components of T - v that arc_second's tree edges enter are the rest
     forest = _shared_tree(G, T).difference(G.incident[v])
-
-    def side(arc: tuple[str, ...]) -> frozenset:
-        return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))
-
-    return VertexSplit(arc_i, arc_j, side(arc_i), side(arc_j))
+    first = frozenset(reach(G, [G.other_end(f, v) for f in arc_first if f in T], forest))
+    return VertexSplit(arc_first, arc_second, first, frozenset(G.vertices) - first - {v})
 
 
 def shift_difference_check(
@@ -215,7 +208,6 @@ def shift_difference_check(
 
     split = vertex_split(G, v, e1, e2, T)
     A, B = split.side_first, split.side_second
-    in_arc = set(split.arc_first)
     out_arc = set(split.arc_second)
     rhs = {u: 0 for u in G.vertices}
     for f in G.edge_ids:
@@ -234,7 +226,7 @@ def shift_difference_check(
             if f in out_arc and x in A:
                 rhs[x] += 1
                 rhs[v] -= 1
-            elif f in in_arc and x in B:
+            elif f not in out_arc and x in B:
                 rhs[v] += 1
                 rhs[x] -= 1
     return lhs, rhs, lhs == rhs

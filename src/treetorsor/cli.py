@@ -42,17 +42,14 @@ def _load_graph(path: str) -> rb.RibbonGraph:
 
 
 def _parse_tree(G: rb.RibbonGraph, text: str) -> frozenset:
-    edges = frozenset(e for e in text.split(",") if e)
-    for e in edges:
+    edges: set[str] = set()
+    for e in filter(None, text.split(",")):
         if e not in G.ends:
             raise TorsorError(f"unknown edge {e!r} in tree argument")
-    return rb._shared_tree(G, edges)
-
-
-def _vertex(G: rb.RibbonGraph, v: str) -> str:
-    if v not in G.rotation:
-        raise TorsorError(f"unknown vertex {v!r}")
-    return v
+        if e in edges:
+            raise TorsorError(f"repeated edge {e!r} in tree argument")
+        edges.add(e)
+    return rb._shared_tree(G, frozenset(edges))
 
 
 def _parse_cycle(G: rb.RibbonGraph, text: str) -> tuple[rb.Dart, ...]:
@@ -214,10 +211,10 @@ _MIRROR = "debug: flip the dual-graph convention to show the square failing"
 OPTIONS = {
     "corpus_dir": Option(None, {}),
     "--mirror-dual": Option(None, {"action": "store_true", "help": _MIRROR}),
-    "--vertex": Option(_vertex, _VALUE),
-    "--other": Option(_vertex, _VALUE),
-    "--from": Option(_vertex, _VALUE),
-    "--root": Option(_vertex, _VALUE),
+    "--vertex": Option(rb.known_vertex, _VALUE),
+    "--other": Option(rb.known_vertex, _VALUE),
+    "--from": Option(rb.known_vertex, _VALUE),
+    "--root": Option(rb.known_vertex, _VALUE),
     "--edge": Option(None, _VALUE),
     "--divisor": Option(dv.parse_divisor, dict(_VALUE, help="divisor JSON")),
     "--class": Option(dv.parse_divisor, dict(_VALUE, help="degree-0 divisor JSON")),

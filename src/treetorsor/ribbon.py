@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EdgeInTree, NotSpanningTree, ParseError, ValidationError
+from .errors import EdgeInTree, MissingVertex, NotSpanningTree, ParseError, ValidationError
 
 
 class Dart(NamedTuple):
@@ -318,6 +318,12 @@ def _shared_tree(G: RibbonGraph, T: frozenset) -> frozenset:
     if not is_spanning_tree(G, T):
         raise NotSpanningTree(f"{sorted(T)} is not a spanning tree")
     return T
+
+
+def known_vertex(G: RibbonGraph, v: str) -> str:
+    if v not in G.rotation:
+        raise MissingVertex(f"unknown vertex {v!r}")
+    return v
 
 
 def is_spanning_tree(G: RibbonGraph, T: frozenset) -> bool:

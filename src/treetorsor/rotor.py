@@ -17,7 +17,7 @@ from typing import Mapping
 
 from . import divisors as dv
 from .errors import ChipAtSink, NotACycle
-from .ribbon import Dart, RibbonGraph, _shared_tree, reach, rotation_free
+from .ribbon import Dart, RibbonGraph, _shared_tree, known_vertex, reach, rotation_free
 
 
 def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
@@ -58,6 +58,7 @@ def rotor_act(
     The v-reduced representative has 0 <= coefficient < deg(u) at every
     u != v, so the action is at most sum(deg) single-chip moves.
     """
+    known_vertex(G, v)
     reduced = dv._q_reduce(G, dv.class_to_tuple(G, gamma), v)
     result = _shared_tree(G, T)
     for u, c in zip(G.vertices, reduced):

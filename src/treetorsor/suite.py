@@ -192,14 +192,17 @@ def _check_divisors(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     if group.order <= 36:
         ok, witness = True, None
         els = group.elements
-        for a in els:
-            if group.add(a, group.zero) != a:
+        # every sum the axioms read, once; a sum outside els has no row and fails
+        table = {a: {b: group.add(a, b) for b in els} for a in els}
+        for a, row in table.items():
+            if row[group.zero] != a:
                 ok, witness = False, {"element": list(a)}
             for b in els:
-                if group.add(a, b) != group.add(b, a):
+                if row[b] != table[b][a]:
                     ok, witness = False, {"a": list(a), "b": list(b)}
-                for c in els:
-                    if group.add(group.add(a, b), c) != group.add(a, group.add(b, c)):
+                ab = table.get(row[b])
+                for c, bc in table[b].items():
+                    if ab is None or bc not in row or ab[c] != row[bc]:
                         ok, witness = False, {"a": list(a), "b": list(b), "c": list(c)}
         report.add("group-axioms", name, {"order": group.order}, ok, witness)
 
@@ -249,20 +252,21 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
         seqs = []
         for v in G.vertices:
             for e in G.incident[v]:
-                tour = bernardi_tour(G, v, e, T)
-                if len(tour.steps) != 2 * len(G.edges):
+                steps = bernardi_tour(G, v, e, T).steps
+                if len(steps) != 2 * len(G.edges):
                     ok, witness = False, {"vertex": v, "edge": e, "tree": sorted(T)}
-                cuts = [s for s in tour.steps if s.action == "cut"]
+                cut_at: dict[str, list[str]] = {}
+                for s in steps:
+                    if s.action == "cut":
+                        cut_at.setdefault(s.edge, []).append(s.at_vertex)
                 for f in G.edge_ids:
-                    if f in T:
-                        continue
-                    ends = sorted(s.at_vertex for s in cuts if s.edge == f)
-                    if ends != sorted(G.ends[f]):
+                    if f not in T and sorted(cut_at.get(f, ())) != sorted(G.ends[f]):
                         ok, witness = False, {"edge": f, "tree": sorted(T)}
-                seqs.append(list(tour.steps))
+                seqs.append(list(steps))
         base = seqs[0] + seqs[0]
         for seq in seqs[1:]:
-            if not any(base[i : i + len(seq)] == seq for i in range(len(seq))):
+            n = len(seq)  # a tour visits each dart once: only offsets holding seq[0] can match
+            if not any(base[i : i + n] == seq for i, s in enumerate(base[:n]) if s == seq[0]):
                 ok, witness = False, {"tree": sorted(T)}
     report.add("tour-structure", name, {}, ok, witness)
 

@@ -22,7 +22,7 @@ from treetorsor.bernardi import (
     shift_difference_check,
     vertex_split,
 )
-from treetorsor.errors import NotBreakDivisor, NotIncident, NotSpanningTree
+from treetorsor.errors import MissingVertex, NotBreakDivisor, NotIncident, NotSpanningTree
 from treetorsor.ribbon import (
     RibbonGraph,
     fundamental_cycle,
@@ -237,6 +237,64 @@ def test_shift_formula_exhaustive_k4():
                 for e2 in G.incident[v]:
                     _, _, equal = shift_difference_check(G, v, e1, e2, T)
                     assert equal
+
+
+def _vertex_split_two_reach(G, v, e1, e2, T):
+    """The reference split: each arc by walking rotation(v) from its first
+    edge, each side by its own search of T - v."""
+    cycle = G.rotation[v]
+    i1, i2 = cycle.index(e1), cycle.index(e2)
+    k = len(cycle)
+    if e1 == e2:
+        arc_i = tuple(cycle[(i1 + j) % k] for j in range(k))
+        arc_j = ()
+    else:
+        arc_i = tuple(cycle[(i1 + j) % k] for j in range((i2 - i1) % k))
+        arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
+    forest = T.difference(G.incident[v])
+
+    def side(arc):
+        return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))
+
+    return arc_i, arc_j, side(arc_i), side(arc_j)
+
+
+def _assert_split_matches_oracle(G, trees):
+    for T in trees:
+        for v in G.vertices:
+            for e1 in G.incident[v]:
+                for e2 in G.incident[v]:
+                    split = vertex_split(G, v, e1, e2, T)
+                    got = (split.arc_first, split.arc_second, split.side_first, split.side_second)
+                    assert got == _vertex_split_two_reach(G, v, e1, e2, T), (v, e1, e2, sorted(T))
+                    assert split.side_first.isdisjoint(split.side_second)
+                    assert split.side_first | split.side_second == set(G.vertices) - {v}
+
+
+def test_vertex_split_matches_two_reach_oracle_on_default_corpus():
+    checked = 0
+    for _, G in corpus.default_corpus():
+        trees = spanning_trees(G)
+        if len(trees) <= 200:
+            _assert_split_matches_oracle(G, trees)
+            checked += 1
+    assert checked >= 20
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_vertex_split_matches_two_reach_oracle_random(seed):
+    G = random_graph(seed)
+    _assert_split_matches_oracle(G, spanning_trees(G)[:12])
+
+
+def test_unknown_base_vertex_is_missing_vertex():
+    G, T = corpus.k3(), frozenset({"a", "b"})
+    calls = [(act, G, "zz", {"2": 1, "1": -1}, T) for act in (bernardi_act, rotor_act)]
+    calls += [(bernardi_act, G, "zz", {}, T, "a"), (bernardi_tour, G, "zz", "a", T)]
+    for fn, *args in calls:
+        with pytest.raises(MissingVertex, match=re.escape("unknown vertex 'zz'")):
+            fn(*args)
 
 
 def test_action_builds_no_break_divisor_table():

@@ -7,15 +7,16 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treetorsor import bernardi, cli, clear_caches, corpus, ribbon, suite
-from treetorsor.bernardi import bernardi_act
+from treetorsor.bernardi import Tour, bernardi_act
 from treetorsor.cli import COMMANDS, OPTIONS, build_parser, main
-from treetorsor.divisors import picard_group
+from treetorsor.divisors import PicardGroup, picard_group
 from treetorsor.errors import NotSimple
 from treetorsor.ribbon import spanning_trees
 from treetorsor.rotor import rotor_act
@@ -155,6 +156,122 @@ def test_torsor_battery_failure_witnesses():
             assert not record.ok
             assert record.witness == expected[name, kind], (name, kind)
             assert record.params == {"vertex": G.vertices[0]}
+
+
+def _battery_record(G, check):
+    report = suite.SuiteReport()
+    battery = suite._check_divisors if check == "group-axioms" else suite._check_bernardi
+    battery(report, "g", G)
+    (record,) = [r for r in report.records if r.check == check]
+    return record
+
+
+ADD = PicardGroup.add
+
+
+def _left(group, a, b):
+    return a
+
+
+def _negating(group, a, b):
+    """Negates every sum of two nonzero classes: commutative, not associative."""
+    s = ADD(group, a, b)
+    return s if group.zero in (a, b) else group.neg(s)
+
+
+def _pairing(group, a, b):
+    """Leaves a sum in the zero class, or with an operand that is no element,
+    as the pair (a, b), which is no element."""
+    if a in group.elements and b in group.elements:
+        s = ADD(group, a, b)
+        if s != group.zero:
+            return s
+    return (a, b)
+
+
+def _unreduced(group, a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def test_group_axioms_failure_witnesses(monkeypatch):
+    # the last failing witness in loop order; a sum outside the element set fails, never raises
+    k4_zero, theta_zero = [0, 0, 0, 0], [0, 0]
+    expected = {
+        ("k4", _left): {"a": k4_zero, "b": [-1, 1, 0, 0]},
+        ("k4", _negating): {"a": [-1, 1, 0, 0], "b": [-1, 1, 0, 0], "c": [-1, 0, 1, 0]},
+        ("k4", _pairing): {"a": k4_zero, "b": k4_zero, "c": k4_zero},
+        # sums of coefficients form a group on Z^V, but not on the q-reduced elements
+        ("k4", _unreduced): {"a": k4_zero, "b": [-1, 1, 0, 0], "c": [-2, 2, 0, 0]},
+        ("theta", _left): {"a": theta_zero, "b": [-1, 1]},
+        ("theta", _negating): {"a": [-1, 1], "b": [-1, 1], "c": [-2, 2]},
+        ("theta", _pairing): {"a": theta_zero, "b": theta_zero, "c": theta_zero},
+        ("theta", _unreduced): {"a": theta_zero, "b": [-1, 1], "c": [-2, 2]},
+    }
+    for (name, G), add in product(TORSOR_GRAPHS[:2], (_left, _negating, _pairing, _unreduced)):
+        with monkeypatch.context() as patch:
+            patch.setattr(PicardGroup, "add", add)
+            record = _battery_record(G, "group-axioms")
+        assert not record.ok
+        assert record.witness == expected[name, add], (name, add.__name__)
+
+
+@pytest.mark.parametrize("G", [G for _, G in TORSOR_GRAPHS], ids=[n for n, _ in TORSOR_GRAPHS])
+def test_group_axioms_add_each_pair_once(G, monkeypatch):
+    added = []
+    marks = {}  # check -> group.add calls made before its record
+
+    class Report(suite.SuiteReport):
+        def add(self, check, *args):
+            marks[check] = len(added)
+            super().add(check, *args)
+
+    def counted(group, a, b):
+        added.append((a, b))
+        return ADD(group, a, b)
+
+    monkeypatch.setattr(PicardGroup, "add", counted)
+    report = Report()
+    suite._check_divisors(report, "g", G)
+    n = picard_group(G).order
+    assert marks["group-axioms"] - marks["q-reduce-canonical"] <= n * n
+    assert report.ok
+
+
+def _reversed_last(G, v, e, T):
+    """The tour from the last vertex's last edge, run backwards: no rotation."""
+    tour = bernardi.bernardi_tour(G, v, e, T)
+    if (v, e) == (G.vertices[-1], G.incident[G.vertices[-1]][-1]):
+        return Tour(tour.initial, tour.steps[::-1], tour.eta)
+    return tour
+
+
+def _missing_cut(G, v, e, T):
+    """Every tour without the cut of the first edge at its first end."""
+    tour = bernardi.bernardi_tour(G, v, e, T)
+    f = G.edge_ids[0]
+    steps = tuple(s for s in tour.steps if (s.edge, s.at_vertex, s.action) != (f, G.ends[f][0], "cut"))
+    return Tour(tour.initial, steps, tour.eta)
+
+
+def _empty(G, v, e, T):
+    return Tour((v, e), (), {})
+
+
+def test_tour_structure_failure_witnesses(monkeypatch):
+    expected = {
+        ("k4", _reversed_last): {"tree": ["e14", "e24", "e34"]},
+        ("k4", _missing_cut): {"edge": "e12", "tree": ["e14", "e24", "e34"]},
+        ("k4", _empty): {"tree": ["e14", "e24", "e34"]},
+        ("theta", _reversed_last): {"tree": ["r"]},
+        ("theta", _missing_cut): {"edge": "p", "tree": ["r"]},
+        ("theta", _empty): {"tree": ["r"]},
+    }
+    for (name, G), tour in product(TORSOR_GRAPHS[:2], (_reversed_last, _missing_cut, _empty)):
+        with monkeypatch.context() as patch:
+            patch.setattr(suite, "bernardi_tour", tour)
+            record = _battery_record(G, "tour-structure")
+        assert not record.ok
+        assert record.witness == expected[name, tour], (name, tour.__name__)
 
 
 def test_compare_vertices_planar_vs_not():
@@ -366,6 +483,11 @@ def test_cli_input_errors(k3_file, capsys):
         bad_dir.mkdir()
         (bad_dir / name).write_text(text)
         named[("suite", str(bad_dir))] = f"error: {name}: {message}"
+    # tree ids are read in argument order: the first unknown one is named, a repeat is an error
+    beta = ("beta", k3_file, "--vertex", "1", "--edge", "a", "--tree")
+    named[beta + ("zz,yy,xx,ww,vv,uu,tt,ss",)] = "error: unknown edge 'zz' in tree argument\n"
+    named[beta + ("a,a,b",)] = "error: repeated edge 'a' in tree argument\n"
+    named[beta + ("b,a,zz,b",)] = "error: unknown edge 'zz' in tree argument\n"
     for argv, message in named.items():
         assert main(list(argv)) == 2, argv
         err = capsys.readouterr().err
