@@ -2,22 +2,26 @@
 induced group action on spanning trees.
 
 The tour is a (vertex, edge) state machine: walk tree edges, cut non-tree
-edges, always continuing with the rotation successor.  One simulation drives
-the forward map.  The two inverse reconstructions replay the same state
-machine on G minus the set of edges cut so far, in the rotation G induces
-there, deciding walk vs cut by whether the divisor left is a break divisor of
-that minor, which one orientation of its edges decides.
+edges, always continuing with the rotation successor.  One generator,
+``_walk``, runs it on the graph's own tables (``G.ends`` and the rotation
+successors) and drives the forward map: ``bernardi_tour`` records its steps,
+and ``bernardi_beta`` counts first cuts from it without building a tour.  The
+two inverse reconstructions replay the same state machine on G minus the set
+of edges cut so far, in the rotation G induces there, deciding walk vs cut by
+whether the divisor left is a break divisor of that minor, which one
+orientation of its edges decides.
 
 Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
-spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached, not its
-tour, which is walked again on each beta miss and each ``bernardi_tour`` call.
+spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached; the walk
+runs again on each beta miss and each ``bernardi_tour`` call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from . import breakdiv as bk
 from . import divisors as dv
@@ -50,36 +54,49 @@ def _check_incident(G: RibbonGraph, v: str, e: str) -> None:
         raise NotIncident(f"edge {e!r} is not incident to vertex {v!r}")
 
 
-def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
-    """The tour of ``T`` with initial data (v, e): exactly 2|E| steps."""
+def _walk(G: RibbonGraph, v: str, e: str, T: frozenset) -> Iterator[tuple[str, str, bool]]:
+    """The tour of ``T`` with initial data (v, e): yields (vertex, edge,
+    walked) for each of the 2|E| darts, walking tree edges and cutting the
+    others, always continuing with the rotation successor."""
     _check_incident(G, v, e)
     T = _shared_tree(G, T)
+    ends, succ = G.ends, G._succ
+    total = 2 * len(ends)
+    cur_v, cur_e = v, e
+    for steps in range(1, total + 1):
+        walked = cur_e in T
+        yield cur_v, cur_e, walked
+        if walked:
+            a, b = ends[cur_e]
+            cur_v = a if cur_v == b else b
+        cur_e = succ[cur_v, cur_e]
+        if cur_e == e and cur_v == v:
+            break
+    assert steps == total and (cur_v, cur_e) == (v, e), "tour must visit every dart exactly once"
+
+
+def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
+    """The tour of ``T`` with initial data (v, e): exactly 2|E| steps."""
     steps: list[TourStep] = []
     eta: dict[str, str] = {}
-    cur_v, cur_e = v, e
-    total = 2 * len(G.edges)
-    while True:
-        if cur_e in T:
-            steps.append(TourStep(cur_v, cur_e, "walk"))
-            cur_v = G.other_end(cur_e, cur_v)
-        else:
-            steps.append(TourStep(cur_v, cur_e, "cut"))
-            eta.setdefault(cur_e, cur_v)
-        cur_e = G.next_edge(cur_v, cur_e)
-        if (cur_v, cur_e) == (v, e):
-            break
-        assert len(steps) <= total, "tour failed to close"
-    assert len(steps) == total, "tour must visit every dart exactly once"
+    for u, f, walked in _walk(G, v, e, T):
+        steps.append(TourStep(u, f, "walk" if walked else "cut"))
+        if not walked:
+            eta.setdefault(f, u)
     return Tour((v, e), tuple(steps), eta)
 
 
 @lru_cache(maxsize=None)
 def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivisor:
-    """One chip at the first-cut endpoint of each non-tree edge."""
-    tour = bernardi_tour(G, v, e, T)
+    """One chip at the first-cut endpoint of each non-tree edge, counted
+    from the walk itself: no tour is built."""
+    at = G._vertex_pos
     chips = [0] * len(G.vertices)
-    for u in tour.eta.values():
-        chips[G.vertex_pos(u)] += 1
+    cut = set()
+    for u, f, walked in _walk(G, v, e, T):
+        if not walked and f not in cut:
+            cut.add(f)
+            chips[at[u]] += 1
     return bk.BreakDivisor(G.skeleton, tuple(chips), T)
 
 
@@ -96,35 +113,30 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
     chip from the far endpoint.  Cutting keeps the vertices, so ``dt`` stays
     indexed by the file order of ``G`` throughout.
     """
-    step = G.prev_edge if left else G.next_edge
-
-    def turn(u: str, f: str) -> str:
-        f = step(u, f)
-        while f in removed:
-            f = step(u, f)
-        return f
-
+    ends, at, step = G.ends, G._vertex_pos, G._pred if left else G._succ
     tree: set[str] = set()
     removed: frozenset = frozenset()
     cur_v = v
-    cur_e = G.prev_edge(v, e) if left else e
-    budget = 4 * len(G.edges) + 4
-    while len(tree) + len(removed) != len(G.edges):
+    cur_e = step[v, e] if left else e
+    budget = 4 * len(ends) + 4
+    while len(tree) + len(removed) != len(ends):
         budget -= 1
         if budget < 0:
             raise NotBreakDivisor("inverse reconstruction failed to terminate")
-        w = G.other_end(cur_e, cur_v)
-        i = G.vertex_pos(w if left else cur_v)
+        a, b = ends[cur_e]
+        w = a if cur_v == b else b
+        i = at[w if left else cur_v]
         if cur_e not in tree and dt[i] > 0:
             trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
             cut = removed | {cur_e}
             if bk._is_break(G, cut, trial):
                 dt, removed = trial, cut
-                cur_e = turn(cur_v, cur_e)
-                continue
-        tree.add(cur_e)
-        cur_v = w
-        cur_e = turn(w, cur_e)
+        if cur_e not in removed:  # not cut, so walked
+            tree.add(cur_e)
+            cur_v = w
+        cur_e = step[cur_v, cur_e]
+        while cur_e in removed:
+            cur_e = step[cur_v, cur_e]
     try:
         return _shared_tree(G, frozenset(tree))
     except NotSpanningTree:
@@ -148,7 +160,7 @@ def _act(
     G: RibbonGraph, v: str, e: str, gamma: tuple[int, ...], T: frozenset
 ) -> frozenset:
     beta = bernardi_beta(G, v, e, T)
-    target = tuple(a + b for a, b in zip(beta.chips, gamma))
+    target = tuple(map(operator.add, beta.chips, gamma))
     rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
     return _alpha(G, v, e, rep.chips, False)
 

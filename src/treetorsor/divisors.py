@@ -20,13 +20,22 @@ from .errors import DegreeMismatch, MissingVertex, ParseError
 from .ribbon import RibbonGraph, rotation_free
 
 COEFF_BOUND = 10**6
+_INT = frozenset({int})  # the type of every coefficient, checked in one pass
 
 
 def divisor_to_tuple(G: RibbonGraph, D: Mapping[str, int]) -> tuple[int, ...]:
+    """The coefficients of ``D`` in vertex file order.  As in ``parse_divisor``,
+    each must be an ``int`` that is not a ``bool``."""
     if not D.keys() <= G.rotation.keys():
         unknown = next(v for v in D if v not in G.rotation)
         raise MissingVertex(f"divisor mentions unknown vertex {unknown!r}")
-    return tuple(int(D.get(v, 0)) for v in G.vertices)
+    dt = tuple([D.get(v, 0) for v in G.vertices])
+    if not _INT.issuperset(map(type, dt)):
+        for v, c in zip(G.vertices, dt):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ParseError(f"coefficient of {v!r} must be an integer")
+        dt = tuple(map(int, dt))
+    return dt
 
 
 def class_to_tuple(G: RibbonGraph, gamma: Mapping[str, int]) -> tuple[int, ...]:

@@ -347,14 +347,16 @@ def reach(
     With an orientation ``heads`` (edge -> its head), an edge is only crossed
     from its tail to its head.
     """
+    ends, incident = G.ends, G.incident
     found: dict[str, str | None] = dict.fromkeys(sources)
     pending = deque(found)
     take = pending.pop if lifo else pending.popleft
     while pending:
         v = take()
-        for e in G.incident[v]:
+        for e in incident[v]:
             if edges is None or e in edges:
-                w = G.other_end(e, v)
+                a, b = ends[e]
+                w = a if v == b else b
                 if w not in found and (heads is None or heads[e] == w):
                     found[w] = e
                     pending.append(w)
@@ -363,7 +365,8 @@ def reach(
 
 def tree_path(G: RibbonGraph, T: frozenset, start: str, goal: str) -> list[Dart]:
     """The unique path in ``T`` from ``start`` to ``goal`` as a dart sequence."""
-    parent = reach(G, [goal], _shared_tree(G, T))
+    known_vertex(G, start)
+    parent = reach(G, [known_vertex(G, goal)], _shared_tree(G, T))
     path: list[Dart] = []
     v = start
     while v != goal:

@@ -6,7 +6,11 @@ moves the chip across that edge.  Sink-free dynamics on unicycle states drive
 the cycle reversibility test behind the planarity criterion.
 
 Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
-spanning tree, ``NotSpanningTree`` for a non-tree).
+spanning tree, ``NotSpanningTree`` for a non-tree), and every vertex argument
+passes ``ribbon.known_vertex``.  The tree rotors do not read the rotation, so
+``_tree_rotors`` caches them on the underlying graph for every rotation
+system; ``rotor_move`` starts from that dict and ``rotor_step`` copies, so no
+step writes to it, and ``rotors_from_tree`` hands out a copy.
 """
 
 from __future__ import annotations
@@ -20,26 +24,39 @@ from .errors import ChipAtSink, NotACycle
 from .ribbon import Dart, RibbonGraph, _shared_tree, known_vertex, reach, rotation_free
 
 
-def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
-    """Each non-root vertex points along its unique tree path toward the root."""
+@rotation_free
+def _tree_rotors(G: RibbonGraph, T: frozenset, root: str) -> dict:
+    """Each non-root vertex points along its unique tree path toward the root.
+    Shared by every rotation system and never mutated: callers copy it.  A
+    non-tree raises, so a cached entry means ``T`` has been checked."""
     parent = reach(G, [root], _shared_tree(G, T))
     return {z: parent[z] for z in G.vertices if z != root}
+
+
+def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
+    """Each non-root vertex points along its unique tree path toward the root
+    (a fresh dict, which the caller may change)."""
+    return dict(_tree_rotors(G, T, known_vertex(G, root)))
 
 
 def rotor_step(G: RibbonGraph, rotor: Mapping[str, str], chip: str) -> tuple[dict, str]:
     """Advance the rotor at the chip and move the chip; pure."""
     if chip not in rotor:
         raise ChipAtSink(f"chip is at the sink vertex {chip!r}")
-    new_edge = G.next_edge(chip, rotor[chip])
+    new_edge = G._succ[chip, rotor[chip]]
     nxt = dict(rotor)
     nxt[chip] = new_edge
-    return nxt, G.other_end(new_edge, chip)
+    a, b = G.ends[new_edge]
+    return nxt, a if chip == b else b
 
 
 @lru_cache(maxsize=None)
 def rotor_move(G: RibbonGraph, T: frozenset, x: str, y: str) -> frozenset:
     """The tree ((x) - (y))_y applied to T: route a chip from x to the sink y."""
-    rotor = rotors_from_tree(G, T, y)
+    known_vertex(G, x)
+    known_vertex(G, y)
+    # rotor_step copies, so the shared tree rotors are never written
+    rotor = _tree_rotors(G, T, y)
     chip = x
     budget = 10**6
     while chip != y:

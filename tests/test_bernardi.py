@@ -106,6 +106,34 @@ def test_tour_length_and_cut_balance():
                 assert set(tour.eta) == set(G.edge_ids) - T
 
 
+def _assert_beta_is_tour_eta(G, trees):
+    # the definition: one chip at the first-cut endpoint of each non-tree edge
+    for T in trees:
+        for v in G.vertices:
+            for e in G.rotation[v]:
+                chips = [0] * len(G.vertices)
+                for u in bernardi_tour(G, v, e, T).eta.values():
+                    chips[G.vertex_pos(u)] += 1
+                assert bernardi_beta(G, v, e, T).chips == tuple(chips), (v, e, sorted(T))
+
+
+def test_beta_from_walk_matches_tour_eta_on_default_corpus():
+    checked = 0
+    for _, G in corpus.default_corpus():
+        trees = spanning_trees(G)
+        if len(trees) <= 200:
+            _assert_beta_is_tour_eta(G, trees)
+            checked += 1
+    assert checked >= 20
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_beta_from_walk_matches_tour_eta_random(seed):
+    G = random_graph(seed)
+    _assert_beta_is_tour_eta(G, spanning_trees(G)[:12])
+
+
 def test_tours_are_cyclic_shifts():
     G = corpus.k4()
     T = spanning_trees(G)[0]
@@ -292,6 +320,8 @@ def test_unknown_base_vertex_is_missing_vertex():
     G, T = corpus.k3(), frozenset({"a", "b"})
     calls = [(act, G, "zz", {"2": 1, "1": -1}, T) for act in (bernardi_act, rotor_act)]
     calls += [(bernardi_act, G, "zz", {}, T, "a"), (bernardi_tour, G, "zz", "a", T)]
+    calls += [(rotor_move, G, T, "zz", "1"), (rotor_move, G, T, "2", "zz"),
+              (rotors_from_tree, G, T, "zz"), (tree_path, G, T, "zz", "1")]
     for fn, *args in calls:
         with pytest.raises(MissingVertex, match=re.escape("unknown vertex 'zz'")):
             fn(*args)

@@ -311,7 +311,7 @@ def test_is_break_minus_edges_matches_explicit_minor_random(seed, data):
 # -- caches keyed on the underlying graph ----------------------------------------
 
 ROTATION_FREE = [spanning_trees, rt.simple_cycles, dv.picard_group, bk._enumerate,
-                 dv._q_reduce, bk._is_break, bk._break_rep, _shared_tree]
+                 dv._q_reduce, bk._is_break, bk._break_rep, _shared_tree, rt._tree_rotors]
 
 
 def _plain(value):
@@ -327,7 +327,7 @@ def _plain(value):
 
 def _rotation_free_queries(H, rng):
     """(function, extra arguments): every whole-graph cache, and a sample of
-    the arguments the actions and inverses pass to the other four."""
+    the arguments the actions and inverses pass to the other five."""
     out = [(fn, ()) for fn in ROTATION_FREE[:4]]
     trees = spanning_trees(H)
     q = H.vertices[0]
@@ -340,7 +340,8 @@ def _rotation_free_queries(H, rng):
                 (dv._q_reduce, (shifted, q)),
                 (bk._break_rep, (dv._q_reduce(H, shifted, q),)),
                 (bk._is_break, (frozenset(), shifted)),
-                (_shared_tree, (T,))]
+                (_shared_tree, (T,)),
+                (rt._tree_rotors, (T, v))]
         for f in H.edge_ids:
             if f not in T:
                 i = H.vertex_pos(rng.choice(H.ends[f]))
@@ -369,6 +370,7 @@ def test_rotation_systems_share_the_rotation_free_caches():
     assert spanning_trees.cache_info().misses == 1
     assert bk._break_rep.cache_info().misses <= dv.picard_group(corpus.k4()).order == 16
     assert _shared_tree.cache_info().currsize <= len(spanning_trees(corpus.k4())) == 16
+    assert rt._tree_rotors.cache_info().currsize <= 16 * 4
 
 
 def test_skeleton_is_shared_and_carries_the_break_divisors():

@@ -1,14 +1,18 @@
 """Divisor arithmetic, q-reduction, and the Picard group."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
+from treetorsor.bernardi import alpha_right, bernardi_act
 from treetorsor.errors import MissingVertex, ParseError
 from treetorsor.ribbon import RibbonGraph, spanning_trees
+from treetorsor.rotor import rotor_act
 
 
 def random_graph(seed):
@@ -35,6 +39,26 @@ def test_parse_divisor_validation():
         dv.parse_divisor(G, '{"1": 1.5}')
     with pytest.raises(ParseError):
         dv.parse_divisor(G, f'{{"1": {10**7}}}')
+
+
+def test_non_integer_coefficients_are_rejected():
+    # the rule of parse_divisor, named at the first bad vertex in file order
+    G, T = corpus.k3(), frozenset({"a", "b"})
+    message = re.escape("coefficient of '1' must be an integer")
+    calls = [
+        (dv.q_reduce, G, {"1": True, "2": "3"}),
+        (rotor_act, G, "1", {"2": 1.5, "1": -1.5}, T),
+        (bernardi_act, G, "1", {"2": 1.5, "1": -1.5}, T),
+        (alpha_right, G, "1", "a", {"3": 1, "1": 0.0}),
+        (bk.break_representative, G, {"1": False, "3": 1}),
+    ]
+    for fn, *args in calls:
+        with pytest.raises(ParseError, match=message):
+            fn(*args)
+    assert dv.q_reduce(G, {"2": 1, "1": -1}) == {"1": -1, "2": 1, "3": 0}
+    # an int subclass other than bool is an integer, and converted to int
+    chips = type("Chips", (int,), {})
+    assert [type(c) for c in dv.divisor_to_tuple(G, {"2": chips(1)})] == [int] * 3
 
 
 def test_laplacian_is_degree_zero():

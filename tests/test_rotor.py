@@ -35,6 +35,27 @@ def test_rotors_from_tree_matches_tree_paths():
                 assert list(got.items()) == list(expected.items())
 
 
+def test_tree_rotors_are_never_written():
+    # the tree rotors are cached for every rotation system: neither a rotor
+    # walk nor a write to the dict that rotors_from_tree returns may reach the
+    # entry that rotor_move starts from
+    for G in corpus.rotation_systems(corpus.k4()):
+        for T in spanning_trees(G):
+            for root in G.vertices:
+                fresh = rt._tree_rotors.__wrapped__(G, T, root)
+                moves = {}
+                for x in G.vertices:
+                    moves[x] = rt.rotor_move(G, T, x, root)
+                    assert rt.rotors_from_tree(G, T, root) == fresh
+                rotor = rt.rotors_from_tree(G, T, root)
+                for z in rotor:
+                    rotor[z] = G.rotation[z][0]
+                rotor["zz"] = "e12"
+                assert rt.rotors_from_tree(G, T, root) == fresh
+                rt.rotor_move.cache_clear()
+                assert {x: rt.rotor_move(G, T, x, root) for x in G.vertices} == moves
+
+
 def test_rotor_step():
     G = corpus.k3()
     rotor = {"2": "a", "3": "b"}
