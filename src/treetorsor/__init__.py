@@ -4,7 +4,6 @@ verification suite."""
 
 import sys
 
-from . import ribbon
 from .bernardi import (
     Tour,
     alpha_left,
@@ -68,15 +67,16 @@ from .suite import (
 
 def clear_caches() -> None:
     """Empty every module-level cache of the package: the ``lru_cache`` and
-    ``rotation_free`` caches, the skeleton table and the CLI's parsers.  The
-    next call then computes from scratch, as in a new process."""
+    ``rotation_free`` caches and the CLI's parsers.  The next call then
+    computes from scratch, as in a new process.  The graph intern table holds
+    no strong references and is left alone, so a graph still referenced
+    before the reset is the one an equal constructor call returns after it."""
     prefix = __name__ + "."
     for name, module in list(sys.modules.items()):
         if name.startswith(prefix):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    ribbon._SKELETONS.clear()
     cli = sys.modules.get(prefix + "cli")  # its parsers exist only once it is imported
     if cli:
         cli._parsers.clear()

@@ -39,9 +39,11 @@ class BreakDivisor:
 
 def _reverse_path(G: RibbonGraph, heads: dict[str, str], found: dict, u: str) -> None:
     """Reverse every edge of the path by which the search ``found`` reached ``u``."""
+    ends = G.ends
     while (e := found[u]) is not None:
-        heads[e] = G.other_end(e, heads[e])
-        u = G.other_end(e, u)
+        a, b = ends[e]
+        heads[e] = a if heads[e] == b else b
+        u = a if u == b else b
 
 
 def _orient(G: RibbonGraph, edges: list[str], target: tuple[int, ...]) -> dict | None:
@@ -51,21 +53,22 @@ def _orient(G: RibbonGraph, edges: list[str], target: tuple[int, ...]) -> dict |
     when none is reachable, the edges into the reachable set cannot suffice."""
     if sum(target) != len(edges):
         return None
+    ends, at = G.ends, G._vertex_pos
     need = list(target)
     heads: dict[str, str] = {}
     for e in edges:
-        a, b = G.ends[e]
-        heads[e] = a if need[G.vertex_pos(a)] >= need[G.vertex_pos(b)] else b
-        need[G.vertex_pos(heads[e])] -= 1
+        a, b = ends[e]
+        heads[e] = h = a if need[at[a]] >= need[at[b]] else b
+        need[at[h]] -= 1
     for i, v in enumerate(G.vertices):
         while need[i] > 0:
             found = reach(G, [v], heads, heads=heads)
-            u = next((u for u in found if need[G.vertex_pos(u)] < 0), None)
+            u = next((u for u in found if need[at[u]] < 0), None)
             if u is None:
                 return None
             _reverse_path(G, heads, found, u)
             need[i] -= 1
-            need[G.vertex_pos(u)] += 1
+            need[at[u]] += 1
     return heads
 
 
@@ -128,9 +131,15 @@ def _open_cuts(G: RibbonGraph, heads: dict[str, str], into_q: bool) -> dict:
     from q.  Every edge across the cut of the vertices found so far points
     the same way, so reversing them all fires one side and keeps the class.
     """
-    q = G.vertices[0]
+    q, ends = G.vertices[0], G.ends
     while True:
-        arrows = {e: G.other_end(e, h) for e, h in heads.items()} if into_q else heads
+        if into_q:
+            arrows = {}
+            for e, h in heads.items():
+                a, b = ends[e]
+                arrows[e] = a if h == b else b
+        else:
+            arrows = heads
         found = reach(G, [q], heads=arrows)
         if len(found) == len(G.vertices):
             return found
@@ -159,8 +168,9 @@ def _break_rep(G: RibbonGraph, key: tuple[int, ...]) -> BreakDivisor:
 
     def chips() -> tuple[int, ...]:
         out = [0] + [-1] * (len(G.vertices) - 1)
+        at = G._vertex_pos
         for h in heads.values():
-            out[G.vertex_pos(h)] += 1
+            out[at[h]] += 1
         return tuple(out)
 
     start = chips()

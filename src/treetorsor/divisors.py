@@ -17,7 +17,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DegreeMismatch, MissingVertex, ParseError
-from .ribbon import RibbonGraph, rotation_free
+from .ribbon import RibbonGraph, known_vertex, rotation_free
 
 COEFF_BOUND = 10**6
 _INT = frozenset({int})  # the type of every coefficient, checked in one pass
@@ -108,17 +108,18 @@ def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
     A vertex catches fire once more edges join it to burnt vertices than it
     holds chips, so one burning vertex is checked against each neighbour.
     """
-    at = G.vertex_pos
-    burning = [q] + [v for v in G.vertices if v != q and coeff[at(v)] < 0]
+    at, ends = G._vertex_pos, G.ends
+    burning = [q] + [v for v in G.vertices if v != q and coeff[at[v]] < 0]
     unburnt = set(G.vertices).difference(burning)
     heat = dict.fromkeys(unburnt, 0)
     while burning:
         v = burning.pop()
         for e in G.incident[v]:
-            w = G.other_end(e, v)
+            a, b = ends[e]
+            w = a if v == b else b
             if w in unburnt:
                 heat[w] += 1
-                if heat[w] > coeff[at(w)]:
+                if heat[w] > coeff[at[w]]:
                     unburnt.discard(w)
                     burning.append(w)
     return unburnt
@@ -126,17 +127,17 @@ def _burn(G: RibbonGraph, coeff: Sequence[int], q: str) -> set:
 
 def _fire(G: RibbonGraph, coeff: list[int], x: Mapping[str, int]) -> None:
     """Fire each vertex v x[v] times (0 where absent): subtract L x."""
-    at = G.vertex_pos
+    at = G._vertex_pos
     for _, (a, b) in G.edges:
         flow = x.get(a, 0) - x.get(b, 0)
-        coeff[at(a)] -= flow
-        coeff[at(b)] += flow
+        coeff[at[a]] -= flow
+        coeff[at[b]] += flow
 
 
 @rotation_free
 def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     coeff = list(dt)
-    at = G.vertex_pos
+    at, ends = G._vertex_pos, G.ends
     rest = [v for v in G.vertices if v != q]
     deg = [len(G.incident[v]) for v in rest]
 
@@ -144,8 +145,8 @@ def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     # chips, jump there in one firing (Baker-Shokrieh): firing
     # x = floor(L_q^-1 (D - deg)) leaves deg + L_q (a vector in [0, 1)) off q,
     # which lies in [1, 2 deg(v) - 1] whatever the size of D.
-    if any(not 0 <= coeff[at(v)] < 2 * d for v, d in zip(rest, deg)):
-        det, scaled = _solve_reduced(G, q, [coeff[at(v)] - d for v, d in zip(rest, deg)])
+    if any(not 0 <= coeff[at[v]] < 2 * d for v, d in zip(rest, deg)):
+        det, scaled = _solve_reduced(G, q, [coeff[at[v]] - d for v, d in zip(rest, deg)])
         _fire(G, coeff, dict(zip(rest, (s // det for s in scaled))))
 
     # Superstabilize: while some nonempty subset of V - q can fire without
@@ -156,10 +157,10 @@ def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
         if not unburnt:
             break
         out = (
-            (v, sum(1 for e in G.incident[v] if G.other_end(e, v) not in unburnt))
+            (v, sum(1 for e in G.incident[v] if not unburnt.issuperset(ends[e])))
             for v in unburnt
         )
-        _fire(G, coeff, dict.fromkeys(unburnt, min(coeff[at(v)] // k for v, k in out if k)))
+        _fire(G, coeff, dict.fromkeys(unburnt, min(coeff[at[v]] // k for v, k in out if k)))
     return tuple(coeff)
 
 
@@ -167,14 +168,12 @@ def q_reduce(
     G: RibbonGraph, D: Mapping[str, int], q: str | None = None
 ) -> dict[str, int]:
     """The unique q-reduced divisor linearly equivalent to ``D``."""
-    if q is None:
-        q = G.vertices[0]
+    q = G.vertices[0] if q is None else known_vertex(G, q)
     return tuple_to_divisor(G, _q_reduce(G, divisor_to_tuple(G, D), q))
 
 
 def is_q_reduced(G: RibbonGraph, D: Mapping[str, int], q: str | None = None) -> bool:
-    if q is None:
-        q = G.vertices[0]
+    q = G.vertices[0] if q is None else known_vertex(G, q)
     dt = divisor_to_tuple(G, D)
     if any(c < 0 for v, c in zip(G.vertices, dt) if v != q):
         return False

@@ -6,19 +6,24 @@ Vertex and edge identifiers are opaque strings; every deterministic order
 used in this package is file order (the order identifiers appear in the
 input).
 
+Graphs are interned: a constructor call with the same vertices, edges and
+rotation returns the one live object, held by the weak table ``_GRAPHS``.
+Equality and hashing are therefore identity, and every cache keyed on a
+graph hits by identity.
+
 Spanning trees, divisor classes and break divisors depend only on the
 underlying graph, not on the rotation.  Each graph therefore carries a
-``skeleton``: the one graph per (vertices, edges) in this import whose every
-rotation is file order (``rotation == incident``).  The first graph built
-with that rotation is the skeleton; for any other rotation it is built once.
-The caches of the functions that never read the rotation (``rotation_free``)
-are keyed on the skeleton, so all rotation systems of one graph share their
-entries, and the objects those functions return carry the skeleton.
+``skeleton``: the graph with the same vertices and edges whose every rotation
+is file order (``rotation == incident``).  The caches of the functions that
+never read the rotation (``rotation_free``) are keyed on the skeleton, so all
+rotation systems of one graph share their entries, and the objects those
+functions return carry the skeleton.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -37,8 +42,24 @@ class Dart(NamedTuple):
 
 SpanningTree = frozenset  # of edge ids
 
-# (vertices, edges) -> the file-order rotation system of that graph
-_SKELETONS: dict[tuple, RibbonGraph] = {}
+# (vertices, edges, rotation cycles in vertex order) -> the live graph
+_GRAPHS: weakref.WeakValueDictionary[tuple, RibbonGraph] = weakref.WeakValueDictionary()
+
+
+def _intern_key(
+    vertices: Sequence[str],
+    edges: Sequence[tuple[str, tuple[str, str]]],
+    rotation: Mapping[str, Sequence[str]],
+) -> tuple:
+    vertices = tuple(vertices)
+    try:
+        cycles = tuple(tuple(rotation[v]) for v in vertices)
+    except KeyError:
+        missing = sorted({v for v in vertices if v not in rotation})
+        raise ValidationError(
+            "rotation-mismatch", f"no rotation given for vertices {missing}"
+        ) from None
+    return vertices, tuple((eid, (a, b)) for eid, (a, b) in edges), cycles
 
 
 def rotation_free(fn):
@@ -61,7 +82,8 @@ class RibbonGraph:
     ``vertices`` and ``edges`` keep file order; ``rotation[v]`` is the cyclic
     list of edge ids around ``v``.  Because the graph is loopless, an edge id
     determines a unique dart at each of its endpoints, so per-vertex edge-id
-    lists describe the rotation unambiguously.
+    lists describe the rotation unambiguously.  Equal constructor calls return
+    the same object, so ``==`` and ``hash`` are those of identity.
     """
 
     __slots__ = (
@@ -74,9 +96,23 @@ class RibbonGraph:
         "_succ",
         "_pred",
         "_vertex_pos",
-        "_hash",
+        "_key",
         "skeleton",
+        "__weakref__",
     )
+
+    def __new__(
+        cls,
+        vertices: Sequence[str],
+        edges: Sequence[tuple[str, tuple[str, str]]],
+        rotation: Mapping[str, Sequence[str]],
+    ):
+        key = _intern_key(vertices, edges, rotation)
+        G = _GRAPHS.get(key)
+        if G is None:
+            G = super().__new__(cls)
+            G._key = key
+        return G
 
     def __init__(
         self,
@@ -84,9 +120,11 @@ class RibbonGraph:
         edges: Sequence[tuple[str, tuple[str, str]]],
         rotation: Mapping[str, Sequence[str]],
     ):
-        self.vertices = tuple(vertices)
-        self.edges = tuple((eid, (a, b)) for eid, (a, b) in edges)
-        self.rotation = {v: tuple(rotation[v]) for v in self.vertices}
+        """Build, validate and register a new graph; an interned one returns at once."""
+        if hasattr(self, "skeleton"):
+            return
+        self.vertices, self.edges, cycles = self._key
+        self.rotation = dict(zip(self.vertices, cycles))
         self.ends = {eid: pair for eid, pair in self.edges}
         self.edge_ids = tuple(eid for eid, _ in self.edges)
         self._vertex_pos = {v: i for i, v in enumerate(self.vertices)}
@@ -111,9 +149,8 @@ class RibbonGraph:
 
         self._succ: dict[tuple[str, str], str] = {}
         self._pred: dict[tuple[str, str], str] = {}
-        for v in self.vertices:
-            cycle = self.rotation.get(v)
-            if cycle is None or sorted(cycle) != sorted(self.incident[v]):
+        for v, cycle in self.rotation.items():
+            if sorted(cycle) != sorted(self.incident[v]):
                 raise ValidationError(
                     "rotation-mismatch",
                     f"rotation at {v!r} is not a permutation of its incident edges",
@@ -124,27 +161,14 @@ class RibbonGraph:
                 self._succ[dart] = cycle[(i + 1) % k]
                 self._pred[dart] = cycle[(i - 1) % k]
 
-        self._hash = hash((self.vertices, self.edges, tuple(sorted(self.rotation.items()))))
-        key = (self.vertices, self.edges)
+        _GRAPHS[self._key] = self
         if self.rotation == self.incident:
-            self.skeleton = _SKELETONS.setdefault(key, self)
+            self.skeleton = self
         else:
-            self.skeleton = _SKELETONS.get(key) or RibbonGraph(*key, self.incident)
+            self.skeleton = RibbonGraph(self.vertices, self.edges, self.incident)
 
-    # -- identity ---------------------------------------------------------
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RibbonGraph):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.rotation == other.rotation
-        )
+    def __reduce__(self):
+        return RibbonGraph, (self.vertices, self.edges, self.rotation)
 
     def __repr__(self) -> str:
         return f"RibbonGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
@@ -253,12 +277,6 @@ def parse_ribbon_graph(text: str) -> RibbonGraph:
         isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rotation.values()
     ):
         raise ParseError('"rotation" must map vertices to lists of edge ids')
-    missing = set(vertices) - set(rotation)
-    if missing:
-        raise ValidationError(
-            "rotation-mismatch", f"no rotation given for vertices {sorted(missing)}"
-        )
-
     graph = RibbonGraph(vertices, edges, rotation)
     if not graph.is_connected():
         raise ValidationError("disconnected", "underlying graph is not connected")

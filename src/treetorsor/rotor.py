@@ -76,13 +76,17 @@ def rotor_act(
     u != v, so the action is at most sum(deg) single-chip moves.
     """
     known_vertex(G, v)
-    reduced = dv._q_reduce(G, dv.class_to_tuple(G, gamma), v)
-    result = _shared_tree(G, T)
+    return _act(G, v, dv._q_reduce(G, dv.class_to_tuple(G, gamma), v), _shared_tree(G, T))
+
+
+def _act(G: RibbonGraph, v: str, reduced: tuple[int, ...], T: frozenset) -> frozenset:
+    """Route each chip of the v-reduced class ``reduced`` to the sink v,
+    starting from the checked tree ``T``."""
     for u, c in zip(G.vertices, reduced):
         if u != v:
             for _ in range(c):
-                result = rotor_move(G, result, u, v)
-    return result
+                T = rotor_move(G, T, u, v)
+    return T
 
 
 def unicycle_orbit(

@@ -20,6 +20,7 @@ from . import divisors as dv
 from . import duality as du
 from . import rotor as rt
 from .bernardi import (
+    _act,
     _alpha,
     bernardi_act,
     bernardi_beta,
@@ -32,6 +33,7 @@ from .ribbon import (
     RibbonGraph,
     face_successor,
     fundamental_cycle,
+    known_vertex,
     spanning_trees,
     trace_faces,
 )
@@ -109,20 +111,27 @@ def compare_bernardi_vertices(
     """Whether the tree actions based at v1 and v2 coincide.
 
     Agreement on generator classes at every tree suffices: a general class is
-    a sum of generators and both actions are additive.
+    a sum of generators and both actions are additive.  Each generator is
+    converted and reduced once, not once per tree.
     """
-    for u, gamma in _generators(G):
+    e1 = G.rotation[known_vertex(G, v1)][0]
+    e2 = G.rotation[known_vertex(G, v2)][0]
+    for _, gamma in _generators(G):
+        key = dv._q_reduce(G, dv.class_to_tuple(G, gamma), G.vertices[0])
         for T in spanning_trees(G):
-            if bernardi_act(G, v1, gamma, T) != bernardi_act(G, v2, gamma, T):
+            if _act(G, v1, e1, key, T) != _act(G, v2, e2, key, T):
                 return False, {"gamma": gamma, "tree": sorted(T)}
     return True, None
 
 
 def compare_torsors(G: RibbonGraph, v: str) -> tuple[bool, dict | None]:
     """Whether the Bernardi and rotor-routing actions at v coincide."""
-    for u, gamma in _generators(G):
+    e = G.rotation[known_vertex(G, v)][0]
+    for _, gamma in _generators(G):
+        gt = dv.class_to_tuple(G, gamma)
+        key_q, key_v = dv._q_reduce(G, gt, G.vertices[0]), dv._q_reduce(G, gt, v)
         for T in spanning_trees(G):
-            if bernardi_act(G, v, gamma, T) != rt.rotor_act(G, v, gamma, T):
+            if _act(G, v, e, key_q, T) != rt._act(G, v, key_v, T):
                 return False, {"gamma": gamma, "tree": sorted(T)}
     return True, None
 

@@ -32,7 +32,7 @@ from treetorsor.ribbon import (
     tree_path,
 )
 from treetorsor.rotor import rotor_act, rotor_move, rotors_from_tree
-from treetorsor.suite import search_conjecture
+from treetorsor.suite import compare_bernardi_vertices, compare_torsors, search_conjecture
 
 
 def random_graph(seed):
@@ -322,6 +322,9 @@ def test_unknown_base_vertex_is_missing_vertex():
     calls += [(bernardi_act, G, "zz", {}, T, "a"), (bernardi_tour, G, "zz", "a", T)]
     calls += [(rotor_move, G, T, "zz", "1"), (rotor_move, G, T, "2", "zz"),
               (rotors_from_tree, G, T, "zz"), (tree_path, G, T, "zz", "1")]
+    calls += [(compare_torsors, G, "zz"), (compare_bernardi_vertices, G, "zz", "1"),
+              (compare_bernardi_vertices, G, "1", "zz"), (dv.q_reduce, G, {}, "zz"),
+              (dv.is_q_reduced, G, {}, "zz")]
     for fn, *args in calls:
         with pytest.raises(MissingVertex, match=re.escape("unknown vertex 'zz'")):
             fn(*args)

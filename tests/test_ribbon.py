@@ -1,11 +1,15 @@
 """Ribbon graph structure: parsing, faces, genus, spanning trees."""
 
+import copy
+import gc
 import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import clear_caches, corpus
+from treetorsor import clear_caches, corpus, ribbon
 from treetorsor.errors import EdgeInTree, NotSpanningTree, ParseError, ValidationError
 from treetorsor.ribbon import (
     Dart,
@@ -74,11 +78,57 @@ def test_rotation_must_match_incidence():
     assert exc.value.kind == "rotation-mismatch"
 
 
+def test_missing_rotation_is_a_validation_error():
+    message = re.escape("no rotation given for vertices ['b']")
+    with pytest.raises(ValidationError, match=message) as exc:
+        RibbonGraph(["a", "b"], [("e", ("a", "b"))], {"a": ["e"]})
+    assert exc.value.kind == "rotation-mismatch"
+    # a failed construction leaves no table entry
+    bad = (["a", "b"], [("e", ("a", "b"))], {"a": ["e"], "b": ["f"]})
+    with pytest.raises(ValidationError):
+        RibbonGraph(*bad)
+    assert ribbon._intern_key(*bad) not in ribbon._GRAPHS
+
+
+# -- interning -----------------------------------------------------------------
+
+
+def test_equal_constructor_calls_return_one_object():
+    G = corpus.k4()
+    assert corpus.k4() is G
+    assert RibbonGraph(list(G.vertices), [list(e) for e in G.edges], dict(G.rotation)) is G
+    assert G.skeleton is G
+    H = next(H for H in corpus.rotation_systems(G) if H.rotation != G.incident)
+    assert H is not G and H != G and H.skeleton is G
+
+
+def test_rotation_systems_passes_yield_the_same_objects():
+    first = list(corpus.rotation_systems(corpus.k4()))
+    second = list(corpus.rotation_systems(corpus.k4()))
+    assert len(first) == 16
+    assert all(a is b for a, b in zip(first, second))
+    assert len({id(G) for G in first}) == 16
+
+
+def test_copy_and_pickle_return_the_interned_graph():
+    G = corpus.theta(planar=False)
+    assert copy.copy(G) is G
+    assert copy.deepcopy(G) is G
+    assert pickle.loads(pickle.dumps(G)) is G
+
+
+def test_unreferenced_graph_leaves_the_table():
+    G = RibbonGraph(["x", "y"], [("lone", ("x", "y"))], {"x": ["lone"], "y": ["lone"]})
+    key = G._key
+    assert ribbon._GRAPHS[key] is G
+    del G
+    gc.collect()
+    assert key not in ribbon._GRAPHS
+
+
 def test_parse_round_trip():
     G = corpus.k3()
-    again = parse_ribbon_graph(G.to_json())
-    assert again == G
-    assert hash(again) == hash(G)
+    assert parse_ribbon_graph(G.to_json()) is G
 
 
 def test_parse_rejects_disconnected():

@@ -294,6 +294,35 @@ def test_compare_torsors():
     assert same
 
 
+def _compare_torsors_oracle(G, v):
+    """compare_torsors through the public actions, one call per tree."""
+    for _, gamma in suite._generators(G):
+        for T in spanning_trees(G):
+            if bernardi_act(G, v, gamma, T) != rotor_act(G, v, gamma, T):
+                return False, {"gamma": gamma, "tree": sorted(T)}
+    return True, None
+
+
+def _compare_vertices_oracle(G, v1, v2):
+    """compare_bernardi_vertices through the public action, one call per tree."""
+    for _, gamma in suite._generators(G):
+        for T in spanning_trees(G):
+            if bernardi_act(G, v1, gamma, T) != bernardi_act(G, v2, gamma, T):
+                return False, {"gamma": gamma, "tree": sorted(T)}
+    return True, None
+
+
+def test_comparisons_match_public_action_oracle():
+    graphs = [G for _, G in corpus.default_corpus()] + list(corpus.rotation_systems(corpus.k4()))
+    for G in graphs:
+        for v in G.vertices:
+            assert suite.compare_torsors(G, v) == _compare_torsors_oracle(G, v), v
+        for v1, v2 in product(G.vertices, repeat=2):
+            assert suite.compare_bernardi_vertices(G, v1, v2) == _compare_vertices_oracle(
+                G, v1, v2
+            ), (v1, v2)
+
+
 def test_search_requires_simple_graph():
     with pytest.raises(NotSimple):
         suite.search_conjecture(corpus.theta(True))
@@ -584,10 +613,13 @@ def test_clear_caches_empties_every_cache():
     caches = _package_caches()
     assert len(caches) >= 13
     assert {id(ribbon._shared_tree), id(bernardi.bernardi_beta)} <= {id(c) for c in caches}
-    assert any(c.cache_info().currsize for c in caches) and ribbon._SKELETONS
+    assert any(c.cache_info().currsize for c in caches)
+    graph = k4[0][1]
+    assert ribbon._GRAPHS[graph._key] is graph
     clear_caches()
     assert [c for c in caches if c.cache_info().currsize] == []
-    assert ribbon._SKELETONS == {}
+    # the intern table holds no strong references and survives the reset
+    assert corpus.k4() is graph
     assert suite.run_theorem_suite(k4).dump() == first
 
 
