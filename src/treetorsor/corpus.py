@@ -84,14 +84,20 @@ def k33() -> RibbonGraph:
     return RibbonGraph(verts, edges, inc)
 
 
-def rotation_systems(G: RibbonGraph) -> Iterator[RibbonGraph]:
-    """All rotation systems of the underlying graph: the first incident edge
-    of each vertex is pinned as the cyclic representative, the rest permuted."""
+def rotation_cycles(G: RibbonGraph) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """The rotations of every rotation system of the underlying graph, one
+    tuple per vertex in file order: the first incident edge of each vertex is
+    pinned as the cyclic representative, the rest permuted."""
     per_vertex = []
     for v in G.vertices:
         inc = G.incident[v]
         per_vertex.append([(inc[0],) + p for p in permutations(inc[1:])])
-    for combo in product(*per_vertex):
+    return product(*per_vertex)
+
+
+def rotation_systems(G: RibbonGraph) -> Iterator[RibbonGraph]:
+    """All rotation systems of the underlying graph, in ``rotation_cycles`` order."""
+    for combo in rotation_cycles(G):
         yield RibbonGraph(G.vertices, G.edges, dict(zip(G.vertices, combo)))
 
 

@@ -27,13 +27,14 @@ from .bernardi import (
     bernardi_tour,
     shift_difference_check,
 )
-from .corpus import rotation_systems
+from .corpus import rotation_cycles
 from .errors import HasBridge, NotPlanar, NotSimple
 from .ribbon import (
     RibbonGraph,
     face_successor,
     fundamental_cycle,
     known_vertex,
+    rotation_free,
     spanning_trees,
     trace_faces,
 )
@@ -102,6 +103,15 @@ def _generators(G: RibbonGraph) -> list[tuple[str, dict]]:
     return [(u, {u: 1, q: -1}) for u in G.vertices[1:]]
 
 
+@rotation_free
+def _generator_keys(G: RibbonGraph, r: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(u, the r-reduced key of [(u) - (q)]) for each generator: each class is
+    converted and reduced once per underlying graph and base r."""
+    return tuple(
+        (u, dv._q_reduce(G, dv.class_to_tuple(G, gamma), r)) for u, gamma in _generators(G)
+    )
+
+
 # -- torsor comparisons ------------------------------------------------------
 
 
@@ -112,27 +122,26 @@ def compare_bernardi_vertices(
 
     Agreement on generator classes at every tree suffices: a general class is
     a sum of generators and both actions are additive.  Each generator is
-    converted and reduced once, not once per tree.
+    converted and reduced once per underlying graph, not once per tree.
     """
     e1 = G.rotation[known_vertex(G, v1)][0]
     e2 = G.rotation[known_vertex(G, v2)][0]
-    for _, gamma in _generators(G):
-        key = dv._q_reduce(G, dv.class_to_tuple(G, gamma), G.vertices[0])
+    q = G.vertices[0]
+    for u, key in _generator_keys(G, q):
         for T in spanning_trees(G):
             if _act(G, v1, e1, key, T) != _act(G, v2, e2, key, T):
-                return False, {"gamma": gamma, "tree": sorted(T)}
+                return False, {"gamma": {u: 1, q: -1}, "tree": sorted(T)}
     return True, None
 
 
 def compare_torsors(G: RibbonGraph, v: str) -> tuple[bool, dict | None]:
     """Whether the Bernardi and rotor-routing actions at v coincide."""
     e = G.rotation[known_vertex(G, v)][0]
-    for _, gamma in _generators(G):
-        gt = dv.class_to_tuple(G, gamma)
-        key_q, key_v = dv._q_reduce(G, gt, G.vertices[0]), dv._q_reduce(G, gt, v)
+    q = G.vertices[0]
+    for (u, key_q), (_, key_v) in zip(_generator_keys(G, q), _generator_keys(G, v)):
         for T in spanning_trees(G):
             if _act(G, v, e, key_q, T) != rt._act(G, v, key_v, T):
-                return False, {"gamma": gamma, "tree": sorted(T)}
+                return False, {"gamma": {u: 1, q: -1}, "tree": sorted(T)}
     return True, None
 
 
@@ -517,45 +526,84 @@ def rotation_system_count(G: RibbonGraph) -> int:
     return out
 
 
+def _automorphisms(G: RibbonGraph) -> list[dict[str, str]]:
+    """Every permutation of the vertices of the simple graph ``G`` that keeps
+    adjacency, extending partial maps one vertex at a time in file order."""
+    nbrs = {v: {G.other_end(e, v) for e in G.incident[v]} for v in G.vertices}
+    maps: list[dict[str, str]] = [{}]
+    for v in G.vertices:
+        maps = [
+            {**sigma, v: w}
+            for sigma in maps
+            for w in G.vertices
+            if w not in sigma.values()
+            and len(nbrs[w]) == len(nbrs[v])
+            and all((u in nbrs[v]) == (x in nbrs[w]) for u, x in sigma.items())
+        ]
+    return maps
+
+
 def search_conjecture(G: RibbonGraph) -> dict:
     """Exhaustive rotation-system search for the planarity/agreement conjecture.
 
     For each rotation system of the underlying simple graph: genus 0 must give
-    agreement of the two actions at every vertex (a hard assertion); for
-    positive genus, whether some vertex distinguishes them is recorded.  A
-    positive-genus system where no vertex distinguishes them would be a
-    counterexample and is listed as a finding.
+    agreement of the two actions at every vertex (a hard check, raising
+    ``AssertionError``); for positive genus, whether some vertex distinguishes
+    them is recorded.  A positive-genus system where no vertex distinguishes
+    them would be a counterexample and is listed as a finding.
+
+    Systems are compared once per orbit under the automorphisms σ of the
+    underlying graph.  σ maps a rotation system to an isomorphic ribbon graph,
+    and genus and both actions are natural under isomorphism (a tested
+    property), so σ(system) has the same genus and the disagreeing vertices
+    σ(disagreeing).  The first system of each orbit in enumeration order is
+    compared and its answer stored for every image; every other system is
+    looked up.  Mirror images (every rotation reversed) are not identified.
     """
-    pairs = {tuple(sorted(pair)) for _, pair in G.edges}
-    if len(pairs) != len(G.edges):
+    between = {frozenset(pair): e for e, pair in G.edges}
+    if len(between) != len(G.edges):
         raise NotSimple("the conjecture concerns graphs without multiple edges")
 
+    pos = G._vertex_pos
+    autos = [
+        (sigma, {e: between[frozenset((sigma[a], sigma[b]))] for e, (a, b) in G.edges})
+        for sigma in _automorphisms(G)
+    ]
+    # rotations of a system not yet reached -> (genus, disagreeing vertices)
+    known: dict[tuple, tuple[int, list[str]]] = {}
     systems = []
     counterexamples = []
-    for i, sys in enumerate(rotation_systems(G)):
-        genus = trace_faces(sys).topological_genus
-        disagreeing = []
-        for v in sys.vertices:
-            same, _ = compare_torsors(sys, v)
-            if not same:
-                disagreeing.append(v)
+    for i, combo in enumerate(rotation_cycles(G)):
+        if combo not in known:
+            sys = RibbonGraph(G.vertices, G.edges, dict(zip(G.vertices, combo)))
+            genus = trace_faces(sys).topological_genus
+            disagreeing = [v for v in sys.vertices if not compare_torsors(sys, v)[0]]
+            if genus == 0 and disagreeing:
+                raise AssertionError(
+                    "genus-0 rotation system where the torsors disagree "
+                    f"(index {i}, vertices {disagreeing})"
+                )
+            for sigma, emap in autos:
+                image = {sigma[v]: [emap[e] for e in c] for v, c in zip(G.vertices, combo)}
+                key = []
+                for w in G.vertices:  # each rotation pinned as rotation_cycles pins it
+                    k = image[w].index(G.incident[w][0])
+                    key.append(tuple(image[w][k:] + image[w][:k]))
+                mapped = sorted((sigma[v] for v in disagreeing), key=pos.__getitem__)
+                known[tuple(key)] = genus, mapped
+        genus, disagreeing = known.pop(combo)
         record = {
             "index": i,
-            "rotation": {v: list(sys.rotation[v]) for v in sys.vertices},
+            "rotation": {v: list(cycle) for v, cycle in zip(G.vertices, combo)},
             "genus": genus,
             "disagreeing_vertices": disagreeing,
         }
-        if genus == 0:
-            assert not disagreeing, (
-                "genus-0 rotation system where the torsors disagree "
-                f"(index {i}, vertices {disagreeing})"
-            )
-        elif not disagreeing:
+        if genus > 0 and not disagreeing:
             counterexamples.append(record)
         systems.append(record)
 
-    expected = rotation_system_count(G)
-    assert len(systems) == expected, "rotation-system enumeration is incomplete"
+    if len(systems) != rotation_system_count(G):
+        raise AssertionError("rotation-system enumeration is incomplete")
     return {
         "base_vertices": list(G.vertices),
         "system_count": len(systems),

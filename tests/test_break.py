@@ -13,7 +13,7 @@ from treetorsor import divisors as dv
 from treetorsor import rotor as rt
 from treetorsor.errors import DegreeMismatch
 from treetorsor.ribbon import RibbonGraph, _shared_tree, spanning_trees
-from treetorsor.suite import search_conjecture
+from treetorsor.suite import _generator_keys, search_conjecture
 
 
 def random_graph(seed):
@@ -311,7 +311,8 @@ def test_is_break_minus_edges_matches_explicit_minor_random(seed, data):
 # -- caches keyed on the underlying graph ----------------------------------------
 
 ROTATION_FREE = [spanning_trees, rt.simple_cycles, dv.picard_group, bk._enumerate,
-                 dv._q_reduce, bk._is_break, bk._break_rep, _shared_tree, rt._tree_rotors]
+                 dv._q_reduce, bk._is_break, bk._break_rep, _shared_tree, rt._tree_rotors,
+                 _generator_keys]
 
 
 def _plain(value):
@@ -327,7 +328,7 @@ def _plain(value):
 
 def _rotation_free_queries(H, rng):
     """(function, extra arguments): every whole-graph cache, and a sample of
-    the arguments the actions and inverses pass to the other five."""
+    the arguments the actions, inverses and comparisons pass to the others."""
     out = [(fn, ()) for fn in ROTATION_FREE[:4]]
     trees = spanning_trees(H)
     q = H.vertices[0]
@@ -341,7 +342,8 @@ def _rotation_free_queries(H, rng):
                 (bk._break_rep, (dv._q_reduce(H, shifted, q),)),
                 (bk._is_break, (frozenset(), shifted)),
                 (_shared_tree, (T,)),
-                (rt._tree_rotors, (T, v))]
+                (rt._tree_rotors, (T, v)),
+                (_generator_keys, (v,))]
         for f in H.edge_ids:
             if f not in T:
                 i = H.vertex_pos(rng.choice(H.ends[f]))
@@ -371,6 +373,8 @@ def test_rotation_systems_share_the_rotation_free_caches():
     assert bk._break_rep.cache_info().misses <= dv.picard_group(corpus.k4()).order == 16
     assert _shared_tree.cache_info().currsize <= len(spanning_trees(corpus.k4())) == 16
     assert rt._tree_rotors.cache_info().currsize <= 16 * 4
+    # one generator table per base vertex of the one underlying graph
+    assert _generator_keys.cache_info().currsize == 4
 
 
 def test_skeleton_is_shared_and_carries_the_break_divisors():

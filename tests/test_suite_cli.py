@@ -612,7 +612,9 @@ def test_clear_caches_empties_every_cache():
     first = suite.run_theorem_suite(k4).dump()
     caches = _package_caches()
     assert len(caches) >= 13
-    assert {id(ribbon._shared_tree), id(bernardi.bernardi_beta)} <= {id(c) for c in caches}
+    assert {id(ribbon._shared_tree), id(bernardi.bernardi_beta), id(suite._generator_keys)} <= {
+        id(c) for c in caches
+    }
     assert any(c.cache_info().currsize for c in caches)
     graph = k4[0][1]
     assert ribbon._GRAPHS[graph._key] is graph
