@@ -213,34 +213,27 @@ def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> Vert
 def shift_difference_check(
     G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset
 ) -> tuple[dict, dict, bool]:
-    """Compare the two-tour difference beta1 - beta2 against the arc formula."""
+    """Compare the two-tour difference beta1 - beta2 against the arc formula.
+
+    Each end of an edge lies on the first side or the second: a vertex other
+    than v by its tree component, v itself by the arc the edge leaves it by.
+    A non-tree edge whose ends lie on different sides adds +1 at its
+    first-side end and -1 at the other.
+    """
     b1 = bernardi_beta(G, v, e1, T).chips
     b2 = bernardi_beta(G, v, e2, T).chips
     lhs = dv.tuple_to_divisor(G, tuple(a - b for a, b in zip(b1, b2)))
 
     split = vertex_split(G, v, e1, e2, T)
-    A, B = split.side_first, split.side_second
-    out_arc = set(split.arc_second)
-    rhs = {u: 0 for u in G.vertices}
-    for f in G.edge_ids:
-        if f in T:
-            continue
-        a, b = G.ends[f]
-        if v not in (a, b):
-            if a in A and b in B:
-                rhs[a] += 1
-                rhs[b] -= 1
-            elif b in A and a in B:
-                rhs[b] += 1
-                rhs[a] -= 1
-        else:
-            x = b if a == v else a
-            if f in out_arc and x in A:
-                rhs[x] += 1
-                rhs[v] -= 1
-            elif f not in out_arc and x in B:
-                rhs[v] += 1
-                rhs[x] -= 1
+    arc, side = set(split.arc_first), split.side_first
+    rhs = dict.fromkeys(G.vertices, 0)
+    for f, (a, b) in G.edges:
+        if f not in T:
+            a_first = f in arc if a == v else a in side
+            if a_first != (f in arc if b == v else b in side):
+                near, far = (a, b) if a_first else (b, a)
+                rhs[near] += 1
+                rhs[far] -= 1
     return lhs, rhs, lhs == rhs
 
 

@@ -192,8 +192,7 @@ def _solve_reduced(G: RibbonGraph, q: str, rhs: Sequence[int]) -> tuple[int, lis
     """Solve L_q x = rhs for the reduced Laplacian L_q (the Laplacian without
     the row and column of q) by fraction-free (Bareiss) elimination, so every
     entry stays an exact integer.  Returns det L_q and det * x, which is an
-    integer vector by Cramer's rule; the determinant is 0 (and the vector
-    empty) when G is disconnected.
+    integer vector by Cramer's rule.
     """
     idx = {v: i for i, v in enumerate(v for v in G.vertices if v != q)}
     n = len(idx)
@@ -204,13 +203,11 @@ def _solve_reduced(G: RibbonGraph, q: str, rhs: Sequence[int]) -> tuple[int, lis
                 mat[idx[v]][idx[v]] += 1
                 if w in idx:
                     mat[idx[v]][idx[w]] -= 1
-    # The matrix is positive semidefinite: a zero pivot means a zero
-    # determinant (G is disconnected), so no row swap is ever needed.
+    # G is connected, so the matrix is positive definite: every pivot is a
+    # leading principal minor, nonzero, and no row swap is ever needed.
     prev = 1
     for k in range(n):
         top, p = mat[k], mat[k][k]
-        if not p:
-            return 0, []
         for row in mat[k + 1 :]:
             f = row[k]
             for c in range(k + 1, n + 1):

@@ -15,7 +15,7 @@ class ValidationError(TorsorError):
     """A structurally well-formed input violates a graph invariant.
 
     ``kind`` is one of ``loop``, ``disconnected``, ``rotation-mismatch``,
-    ``duplicate-id``, ``empty`` (a graph file with no edges).
+    ``duplicate-id``, ``empty`` (a graph with no edges).
     """
 
     def __init__(self, kind: str, message: str):

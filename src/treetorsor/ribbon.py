@@ -77,13 +77,14 @@ def rotation_free(fn):
 
 
 class RibbonGraph:
-    """Immutable loopless multigraph with a rotation system.
+    """Immutable connected loopless multigraph with a rotation system.
 
     ``vertices`` and ``edges`` keep file order; ``rotation[v]`` is the cyclic
     list of edge ids around ``v``.  Because the graph is loopless, an edge id
     determines a unique dart at each of its endpoints, so per-vertex edge-id
     lists describe the rotation unambiguously.  Equal constructor calls return
-    the same object, so ``==`` and ``hash`` are those of identity.
+    the same object, so ``==`` and ``hash`` are those of identity.  A graph
+    with no edges, a loop or more than one component raises ``ValidationError``.
     """
 
     __slots__ = (
@@ -107,6 +108,8 @@ class RibbonGraph:
         edges: Sequence[tuple[str, tuple[str, str]]],
         rotation: Mapping[str, Sequence[str]],
     ):
+        if not edges:
+            raise ValidationError("empty", "graph has no edges")
         key = _intern_key(vertices, edges, rotation)
         G = _GRAPHS.get(key)
         if G is None:
@@ -160,6 +163,8 @@ class RibbonGraph:
                 dart = (v, e)
                 self._succ[dart] = cycle[(i + 1) % k]
                 self._pred[dart] = cycle[(i - 1) % k]
+        if not self.is_connected():
+            raise ValidationError("disconnected", "underlying graph is not connected")
 
         _GRAPHS[self._key] = self
         if self.rotation == self.incident:
@@ -243,7 +248,7 @@ class FaceDecomposition:
 
 
 def parse_ribbon_graph(text: str) -> RibbonGraph:
-    """Parse and validate the JSON graph file format."""
+    """Parse the JSON graph file format; the constructor validates the graph."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -271,16 +276,12 @@ def parse_ribbon_graph(text: str) -> RibbonGraph:
                 and isinstance(b, str)):
             raise ParseError(f"edge ids must be strings and ends lists of two strings: {entry!r}")
         edges.append((eid, (a, b)))
-    if not edges:
-        raise ValidationError("empty", "graph has no edges")
-    if not isinstance(rotation, dict) or not all(
+    # the constructor rejects an edgeless graph before it reads the rotation
+    if edges and not (isinstance(rotation, dict) and all(
         isinstance(r, list) and all(isinstance(e, str) for e in r) for r in rotation.values()
-    ):
+    )):
         raise ParseError('"rotation" must map vertices to lists of edge ids')
-    graph = RibbonGraph(vertices, edges, rotation)
-    if not graph.is_connected():
-        raise ValidationError("disconnected", "underlying graph is not connected")
-    return graph
+    return RibbonGraph(vertices, edges, rotation)
 
 
 def face_successor(G: RibbonGraph, d: Dart) -> Dart:

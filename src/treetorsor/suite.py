@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import breakdiv as bk
 from . import divisors as dv
@@ -86,6 +87,15 @@ class SuiteReport:
     ) -> None:
         self.records.append(CheckRecord(check, graph, params, bool(ok), witness))
 
+    @contextmanager
+    def check(self, check: str, graph: str, params: dict | None = None) -> Iterator[Callable]:
+        """Yield ``fail(witness=None)`` and add one record when the body exits:
+        ok if ``fail`` was never called, else carrying the last witness passed
+        to it (``{}`` for a bare ``fail()``).  A body that raises adds none."""
+        failed: dict = {}
+        yield lambda witness=None: failed.update(witness=witness or {})
+        self.add(check, graph, params or {}, not failed, failed.get("witness"))
+
     def dump(self) -> str:
         lines = [r.to_json() for r in self.records]
         lines.append(
@@ -150,14 +160,13 @@ def compare_torsors(G: RibbonGraph, v: str) -> tuple[bool, dict | None]:
 
 def _check_ribbon(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     fd = trace_faces(G)
-    ok = True
-    for face in fd.faces:
-        d = face[0]
-        for _ in range(len(face)):
-            d = face_successor(G, d)
-        if d != face[0]:
-            ok = False
-    report.add("face-permutation-closure", name, {}, ok)
+    with report.check("face-permutation-closure", name) as fail:
+        for face in fd.faces:
+            d = face[0]
+            for _ in range(len(face)):
+                d = face_successor(G, d)
+            if d != face[0]:
+                fail()
 
     euler = len(G.vertices) - len(G.edges) + len(fd.faces)
     report.add(
@@ -178,15 +187,14 @@ def _check_ribbon(report: SuiteReport, name: str, G: RibbonGraph) -> None:
         len(trees) == det == pic == breaks,
     )
 
-    ok, witness = True, None
-    for T in trees:
-        for e in G.edge_ids:
-            if e in T:
-                continue
-            cyc = fundamental_cycle(G, T, e)
-            if cyc[0].edge != e or any(d.edge not in T for d in cyc[1:]):
-                ok, witness = False, {"tree": sorted(T), "edge": e}
-    report.add("fundamental-cycle", name, {}, ok, witness)
+    with report.check("fundamental-cycle", name) as fail:
+        for T in trees:
+            for e in G.edge_ids:
+                if e in T:
+                    continue
+                cyc = fundamental_cycle(G, T, e)
+                if cyc[0].edge != e or any(d.edge not in T for d in cyc[1:]):
+                    fail({"tree": sorted(T), "edge": e})
 
 
 def _check_divisors(report: SuiteReport, name: str, G: RibbonGraph) -> None:
@@ -196,129 +204,106 @@ def _check_divisors(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     for _ in range(6):
         samples.append({v: rng.randint(-4, 4) for v in G.vertices})
 
-    ok, witness = True, None
-    for D in samples:
-        red = dv.q_reduce(G, D)
-        if dv.q_reduce(G, red) != red:
-            ok, witness = False, {"divisor": D}
-        f = {v: rng.randint(-3, 3) for v in G.vertices}
-        shifted = dv.add(D, dv.laplacian_of(G, f))
-        if dv.q_reduce(G, shifted) != red:
-            ok, witness = False, {"divisor": D, "function": f}
-    report.add("q-reduce-canonical", name, {}, ok, witness)
+    with report.check("q-reduce-canonical", name) as fail:
+        for D in samples:
+            red = dv.q_reduce(G, D)
+            if dv.q_reduce(G, red) != red:
+                fail({"divisor": D})
+            f = {v: rng.randint(-3, 3) for v in G.vertices}
+            shifted = dv.add(D, dv.laplacian_of(G, f))
+            if dv.q_reduce(G, shifted) != red:
+                fail({"divisor": D, "function": f})
 
     if group.order <= 36:
-        ok, witness = True, None
         els = group.elements
         # every sum the axioms read, once; a sum outside els has no row and fails
         table = {a: {b: group.add(a, b) for b in els} for a in els}
-        for a, row in table.items():
-            if row[group.zero] != a:
-                ok, witness = False, {"element": list(a)}
-            for b in els:
-                if row[b] != table[b][a]:
-                    ok, witness = False, {"a": list(a), "b": list(b)}
-                ab = table.get(row[b])
-                for c, bc in table[b].items():
-                    if ab is None or bc not in row or ab[c] != row[bc]:
-                        ok, witness = False, {"a": list(a), "b": list(b), "c": list(c)}
-        report.add("group-axioms", name, {"order": group.order}, ok, witness)
+        with report.check("group-axioms", name, {"order": group.order}) as fail:
+            for a, row in table.items():
+                if row[group.zero] != a:
+                    fail({"element": list(a)})
+                for b in els:
+                    if row[b] != table[b][a]:
+                        fail({"a": list(a), "b": list(b)})
+                    ab = table.get(row[b])
+                    for c, bc in table[b].items():
+                        if ab is None or bc not in row or ab[c] != row[bc]:
+                            fail({"a": list(a), "b": list(b), "c": list(c)})
 
-    ok, witness = True, None
-    for u, gamma in _generators(G):
-        g = group.class_of(gamma)
-        image = {group.add(g, c) for c in group.elements}
-        if image != set(group.elements):
-            ok, witness = False, {"gamma": gamma}
-    report.add("class-translation-bijection", name, {}, ok, witness)
+    with report.check("class-translation-bijection", name) as fail:
+        for u, gamma in _generators(G):
+            g = group.class_of(gamma)
+            if {group.add(g, c) for c in group.elements} != set(group.elements):
+                fail({"gamma": gamma})
 
 
 def _check_break(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     breaks = bk.enumerate_break_divisors(G)
-    ok, witness = True, None
-    for bd in breaks:
-        if bk.break_representative(G, bd.divisor).chips != bd.chips:
-            ok, witness = False, {"divisor": bd.divisor}
-    report.add("break-representative-identity", name, {}, ok, witness)
+    with report.check("break-representative-identity", name) as fail:
+        for bd in breaks:
+            if bk.break_representative(G, bd.divisor).chips != bd.chips:
+                fail({"divisor": bd.divisor})
 
-    ok, witness = True, None
     keys = {dv._q_reduce(G, bd.chips, G.vertices[0]) for bd in breaks}
-    if len(keys) != len(breaks):
-        ok, witness = False, {"count": len(breaks), "classes": len(keys)}
-    report.add("break-pairwise-inequivalent", name, {}, ok, witness)
+    with report.check("break-pairwise-inequivalent", name) as fail:
+        if len(keys) != len(breaks):
+            fail({"count": len(breaks), "classes": len(keys)})
 
 
 def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     trees = spanning_trees(G)
     break_set = {bd.chips for bd in bk.enumerate_break_divisors(G)}
 
-    ok, witness = True, None
-    for v in G.vertices:
-        for e in G.incident[v]:
-            image = {}
-            for T in trees:
-                beta = bernardi_beta(G, v, e, T).chips
-                image[beta] = T
-                if any(_alpha(G, v, e, beta, left) != T for left in (False, True)):
-                    ok, witness = False, {"vertex": v, "edge": e, "tree": sorted(T)}
-            if set(image) != break_set:
-                ok, witness = False, {"vertex": v, "edge": e}
-    report.add("bernardi-bijectivity", name, {}, ok, witness)
-
-    ok, witness = True, None
-    for T in trees:
-        seqs = []
+    with report.check("bernardi-bijectivity", name) as fail:
         for v in G.vertices:
             for e in G.incident[v]:
-                steps = bernardi_tour(G, v, e, T).steps
-                if len(steps) != 2 * len(G.edges):
-                    ok, witness = False, {"vertex": v, "edge": e, "tree": sorted(T)}
-                cut_at: dict[str, list[str]] = {}
-                for s in steps:
-                    if s.action == "cut":
-                        cut_at.setdefault(s.edge, []).append(s.at_vertex)
-                for f in G.edge_ids:
-                    if f not in T and sorted(cut_at.get(f, ())) != sorted(G.ends[f]):
-                        ok, witness = False, {"edge": f, "tree": sorted(T)}
-                seqs.append(list(steps))
-        base = seqs[0] + seqs[0]
-        for seq in seqs[1:]:
-            n = len(seq)  # a tour visits each dart once: only offsets holding seq[0] can match
-            if not any(base[i : i + n] == seq for i, s in enumerate(base[:n]) if s == seq[0]):
-                ok, witness = False, {"tree": sorted(T)}
-    report.add("tour-structure", name, {}, ok, witness)
+                image = {}
+                for T in trees:
+                    beta = bernardi_beta(G, v, e, T).chips
+                    image[beta] = T
+                    if any(_alpha(G, v, e, beta, left) != T for left in (False, True)):
+                        fail({"vertex": v, "edge": e, "tree": sorted(T)})
+                if set(image) != break_set:
+                    fail({"vertex": v, "edge": e})
+
+    with report.check("tour-structure", name) as fail:
+        for T in trees:
+            seqs = []
+            for v in G.vertices:
+                for e in G.incident[v]:
+                    steps = bernardi_tour(G, v, e, T).steps
+                    if len(steps) != 2 * len(G.edges):
+                        fail({"vertex": v, "edge": e, "tree": sorted(T)})
+                    cut_at: dict[str, list[str]] = {}
+                    for s in steps:
+                        if s.action == "cut":
+                            cut_at.setdefault(s.edge, []).append(s.at_vertex)
+                    for f in G.edge_ids:
+                        if f not in T and sorted(cut_at.get(f, ())) != sorted(G.ends[f]):
+                            fail({"edge": f, "tree": sorted(T)})
+                    seqs.append(list(steps))
+            base = seqs[0] + seqs[0]
+            for seq in seqs[1:]:
+                n = len(seq)  # a tour visits each dart once: only offsets holding seq[0] can match
+                if not any(base[i : i + n] == seq for i, s in enumerate(base[:n]) if s == seq[0]):
+                    fail({"tree": sorted(T)})
 
     _check_torsor_axioms(report, name, G, "bernardi-torsor", bernardi_act)
 
-    ok, witness = True, None
-    for v in G.vertices:
-        for u, gamma in _generators(G):
-            for T in trees:
-                results = {
-                    bernardi_act(G, v, gamma, T, e=e) for e in G.incident[v]
-                }
-                if len(results) != 1:
-                    ok, witness = False, {
-                        "vertex": v,
-                        "gamma": gamma,
-                        "tree": sorted(T),
-                    }
-    report.add("edge-independence", name, {}, ok, witness)
-
-    ok, witness = True, None
-    for v in G.vertices:
-        for e1 in G.incident[v]:
-            for e2 in G.incident[v]:
+    with report.check("edge-independence", name) as fail:
+        for v in G.vertices:
+            for u, gamma in _generators(G):
                 for T in trees:
-                    _, _, equal = shift_difference_check(G, v, e1, e2, T)
-                    if not equal:
-                        ok, witness = False, {
-                            "vertex": v,
-                            "edge1": e1,
-                            "edge2": e2,
-                            "tree": sorted(T),
-                        }
-    report.add("shift-formula", name, {}, ok, witness)
+                    if len({bernardi_act(G, v, gamma, T, e=e) for e in G.incident[v]}) != 1:
+                        fail({"vertex": v, "gamma": gamma, "tree": sorted(T)})
+
+    with report.check("shift-formula", name) as fail:
+        for v in G.vertices:
+            for e1 in G.incident[v]:
+                for e2 in G.incident[v]:
+                    for T in trees:
+                        if not shift_difference_check(G, v, e1, e2, T)[2]:
+                            fail({"vertex": v, "edge1": e1, "edge2": e2, "tree": sorted(T)})
 
 
 def _check_torsor_axioms(
@@ -337,64 +322,56 @@ def _check_torsor_axioms(
     v = G.vertices[0]
     table = {c: {T: act(G, v, gamma, T) for T in trees} for c, gamma in classes.items()}
 
-    ok, witness = True, None
-    for T in trees:
-        if table[group.zero][T] != T:
-            ok, witness = False, {"axiom": "identity", "tree": sorted(T)}
+    with report.check(check, name, {"vertex": v}) as fail:
+        for T in trees:
+            if table[group.zero][T] != T:
+                fail({"axiom": "identity", "tree": sorted(T)})
 
-    # additivity on generators suffices: every class is a sum of generators
-    for u, gamma in _generators(G):
-        g = group.class_of(gamma)
-        for c, gamma2 in classes.items():
-            combined = table[group.add(g, c)]
-            for T in trees:
-                # .get: an image that is not a tree is in no row, so it fails
-                if combined[T] != table[g].get(table[c][T]):
-                    ok, witness = False, {
-                        "axiom": "additivity",
-                        "gamma1": gamma,
-                        "gamma2": gamma2,
-                        "tree": sorted(T),
-                    }
+        # additivity on generators suffices: every class is a sum of generators
+        for u, gamma in _generators(G):
+            g = group.class_of(gamma)
+            for c, gamma2 in classes.items():
+                combined = table[group.add(g, c)]
+                for T in trees:
+                    # .get: an image that is not a tree is in no row, so it fails
+                    if combined[T] != table[g].get(table[c][T]):
+                        fail({"axiom": "additivity", "gamma1": gamma, "gamma2": gamma2,
+                              "tree": sorted(T)})
 
-    for T in trees:
-        image = {row[T] for row in table.values()}
-        if len(image) != group.order or image != set(trees):
-            ok, witness = False, {"axiom": "transitivity", "tree": sorted(T)}
-    report.add(check, name, {"vertex": v}, ok, witness)
+        for T in trees:
+            image = {row[T] for row in table.values()}
+            if len(image) != group.order or image != set(trees):
+                fail({"axiom": "transitivity", "tree": sorted(T)})
 
 
 def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     trees = spanning_trees(G)
     gtop = trace_faces(G).topological_genus
 
-    ok, witness = True, None
     tree_set = set(trees)
-    for T in trees[:4]:
-        for x in G.vertices[1:]:
-            if rt.rotor_move(G, T, x, G.vertices[0]) not in tree_set:
-                ok, witness = False, {"tree": sorted(T), "from": x}
-    report.add("rotor-move-tree", name, {}, ok, witness)
+    with report.check("rotor-move-tree", name) as fail:
+        for T in trees[:4]:
+            for x in G.vertices[1:]:
+                if rt.rotor_move(G, T, x, G.vertices[0]) not in tree_set:
+                    fail({"tree": sorted(T), "from": x})
 
     rng = random.Random(11)
-    ok, witness = True, None
     v = G.vertices[0]
-    for T in trees[:3]:
-        for u, gamma in _generators(G):
-            f = {w: rng.randint(-2, 2) for w in G.vertices}
-            shifted = dv.add(gamma, dv.laplacian_of(G, f))
-            if rt.rotor_act(G, v, gamma, T) != rt.rotor_act(G, v, shifted, T):
-                ok, witness = False, {"gamma": gamma, "function": f, "tree": sorted(T)}
-    report.add("rotor-representative-independence", name, {}, ok, witness)
+    with report.check("rotor-representative-independence", name) as fail:
+        for T in trees[:3]:
+            for u, gamma in _generators(G):
+                f = {w: rng.randint(-2, 2) for w in G.vertices}
+                shifted = dv.add(gamma, dv.laplacian_of(G, f))
+                if rt.rotor_act(G, v, gamma, T) != rt.rotor_act(G, v, shifted, T):
+                    fail({"gamma": gamma, "function": f, "tree": sorted(T)})
 
     _check_torsor_axioms(report, name, G, "rotor-torsor", rt.rotor_act)
 
-    ok, witness = True, None
-    for C in rt.simple_cycles(G)[:6]:
-        states, darts = rt.unicycle_orbit(G, rt._unicycle_rotor(G, C), C[0].tail)
-        if states[-1] != states[0] or len(set(darts)) != 2 * len(G.edges):
-            ok, witness = False, {"cycle": [list(d) for d in C]}
-    report.add("unicycle-periodicity", name, {}, ok, witness)
+    with report.check("unicycle-periodicity", name) as fail:
+        for C in rt.simple_cycles(G)[:6]:
+            states, darts = rt.unicycle_orbit(G, rt._unicycle_rotor(G, C), C[0].tail)
+            if states[-1] != states[0] or len(set(darts)) != 2 * len(G.edges):
+                fail({"cycle": [list(d) for d in C]})
 
     reversible = rt.all_cycles_reversible(G)
     report.add(
@@ -404,11 +381,10 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
         reversible == (gtop == 0),
     )
 
-    ok, witness = True, None
-    for C in rt.simple_cycles(G)[:4]:
-        if rt.cycle_is_reversible(G, C, "bfs") != rt.cycle_is_reversible(G, C, "dfs"):
-            ok, witness = False, {"cycle": [list(d) for d in C]}
-    report.add("reversibility-orientation-independence", name, {}, ok, witness)
+    with report.check("reversibility-orientation-independence", name) as fail:
+        for C in rt.simple_cycles(G)[:4]:
+            if rt.cycle_is_reversible(G, C, "bfs") != rt.cycle_is_reversible(G, C, "dfs"):
+                fail({"cycle": [list(d) for d in C]})
 
 
 def _check_duality(
@@ -435,15 +411,14 @@ def _check_duality(
     # name-keyed classes for the square check and its witness, built once
     classes = {c: dv.tuple_to_divisor(G, c) for c in group.elements}
     image = {c: du._psi(corr, du._chain_for(G, gamma)) for c, gamma in classes.items()}
-    ok, witness = True, None
-    if len(set(image.values())) != group.order or group.order != dual_group.order:
-        ok, witness = False, {"order": group.order, "dual_order": dual_group.order}
-    else:
-        for a in group.elements:
-            for b in group.elements:
-                if dual_group.add(image[a], image[b]) != image[group.add(a, b)]:
-                    ok, witness = False, {"a": list(a), "b": list(b)}
-    report.add("psi-isomorphism", name, {}, ok, witness)
+    with report.check("psi-isomorphism", name) as fail:
+        if len(set(image.values())) != group.order or group.order != dual_group.order:
+            fail({"order": group.order, "dual_order": dual_group.order})
+        else:
+            for a in group.elements:
+                for b in group.elements:
+                    if dual_group.add(image[a], image[b]) != image[group.add(a, b)]:
+                        fail({"a": list(a), "b": list(b)})
 
     trees = spanning_trees(G)
     duals = {du.dual_tree(corr, T) for T in trees}
@@ -456,12 +431,11 @@ def _check_duality(
     )
 
     v = G.vertices[0]
-    ok, witness = True, None
-    for gamma in classes.values():
-        for T in trees:
-            if not du.duality_square_check(corr, v, gamma, T):
-                ok, witness = False, {"gamma": gamma, "tree": sorted(T)}
-    report.add("duality-square", name, {"vertex": v}, ok, witness)
+    with report.check("duality-square", name, {"vertex": v}) as fail:
+        for gamma in classes.values():
+            for T in trees:
+                if not du.duality_square_check(corr, v, gamma, T):
+                    fail({"gamma": gamma, "tree": sorted(T)})
 
 
 def _check_comparisons(report: SuiteReport, name: str, G: RibbonGraph) -> None:
@@ -488,12 +462,11 @@ def _check_comparisons(report: SuiteReport, name: str, G: RibbonGraph) -> None:
         )
 
     if gtop == 0:
-        ok, witness = True, None
-        for v in G.vertices:
-            same, w = compare_torsors(G, v)
-            if not same:
-                ok, witness = False, {"vertex": v, **(w or {})}
-        report.add("torsor-agreement", name, {"genus": 0}, ok, witness)
+        with report.check("torsor-agreement", name, {"genus": 0}) as fail:
+            for v in G.vertices:
+                same, w = compare_torsors(G, v)
+                if not same:
+                    fail({"vertex": v, **(w or {})})
 
 
 def run_theorem_suite(

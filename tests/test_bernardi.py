@@ -267,6 +267,58 @@ def test_shift_formula_exhaustive_k4():
                     assert equal
 
 
+def _shift_rhs_four_cases(G, v, e1, e2, T):
+    """The arc formula's right-hand side case by case: a non-tree edge away
+    from v between the two sides, or one at v whose far end lies across the
+    arc it leaves by."""
+    split = vertex_split(G, v, e1, e2, T)
+    A, B = split.side_first, split.side_second
+    out_arc = set(split.arc_second)
+    rhs = {u: 0 for u in G.vertices}
+    for f in G.edge_ids:
+        if f in T:
+            continue
+        a, b = G.ends[f]
+        if v not in (a, b):
+            if a in A and b in B:
+                rhs[a] += 1
+                rhs[b] -= 1
+            elif b in A and a in B:
+                rhs[b] += 1
+                rhs[a] -= 1
+        else:
+            x = b if a == v else a
+            if f in out_arc and x in A:
+                rhs[x] += 1
+                rhs[v] -= 1
+            elif f not in out_arc and x in B:
+                rhs[v] += 1
+                rhs[x] -= 1
+    return rhs
+
+
+def _assert_shift_rhs_matches_four_cases(G, trees):
+    for T in trees:
+        for v in G.vertices:
+            for e1 in G.incident[v]:
+                for e2 in G.incident[v]:
+                    _, rhs, _ = shift_difference_check(G, v, e1, e2, T)
+                    expected = _shift_rhs_four_cases(G, v, e1, e2, T)
+                    assert list(rhs.items()) == list(expected.items()), (v, e1, e2, sorted(T))
+
+
+def test_shift_rhs_matches_four_cases_on_default_corpus():
+    for _, G in corpus.default_corpus():
+        _assert_shift_rhs_matches_four_cases(G, spanning_trees(G)[:12])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_shift_rhs_matches_four_cases_random(seed):
+    G = random_graph(seed)
+    _assert_shift_rhs_matches_four_cases(G, spanning_trees(G)[:12])
+
+
 def _vertex_split_two_reach(G, v, e1, e2, T):
     """The reference split: each arc by walking rotation(v) from its first
     edge, each side by its own search of T - v."""

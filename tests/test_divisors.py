@@ -10,7 +10,7 @@ from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor.bernardi import alpha_right, bernardi_act
-from treetorsor.errors import MissingVertex, ParseError
+from treetorsor.errors import MissingVertex, ParseError, ValidationError
 from treetorsor.ribbon import RibbonGraph, spanning_trees
 from treetorsor.rotor import rotor_act
 
@@ -142,8 +142,9 @@ def test_kirchhoff_small_values():
     assert dv.tree_count_determinant(corpus.k33()) == 81
     assert dv.tree_count_determinant(corpus.banana4()) == 4
     assert dv.tree_count_determinant(corpus.path3()) == 1
-    disconnected = simple_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert dv.tree_count_determinant(disconnected) == 0
+    # a disconnected graph, whose count would be 0, cannot be built
+    with pytest.raises(ValidationError, match="underlying graph is not connected"):
+        simple_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
 
 
 def test_kirchhoff_closed_forms():

@@ -90,6 +90,20 @@ def test_missing_rotation_is_a_validation_error():
     assert ribbon._intern_key(*bad) not in ribbon._GRAPHS
 
 
+def test_constructor_rejects_disconnected_and_edgeless_graphs():
+    # before any face is traced: neither graph reaches the intern table
+    cases = [
+        ((["a", "b", "c"], [("e", ("a", "b"))], {"a": ["e"], "b": ["e"], "c": []}), "disconnected"),
+        ((["a"], [], {"a": []}), "empty"),
+        (([], [], {}), "empty"),
+    ]
+    for args, kind in cases:
+        with pytest.raises(ValidationError) as exc:
+            RibbonGraph(*args)
+        assert exc.value.kind == kind
+        assert ribbon._intern_key(*args) not in ribbon._GRAPHS
+
+
 # -- interning -----------------------------------------------------------------
 
 
@@ -156,6 +170,54 @@ def test_parse_rejects_disconnected():
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError):
         parse_ribbon_graph("{not json")
+
+
+K3_DOC = json.loads(corpus.k3().to_json())
+K3_EDGES = K3_DOC["edges"]
+TWO_PIECES = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [{"id": "e1", "ends": ["a", "b"]}, {"id": "e2", "ends": ["c", "d"]}],
+    "rotation": {"a": ["e1"], "b": ["e1"], "c": ["e2"], "d": ["e2"]},
+}
+# (fields replaced in the K3 file, the error the parser reports): a file with
+# several faults reports the first of them in this order
+REJECTED = [
+    ({"vertices": "123"}, (ParseError, '"vertices" must be a list of strings')),
+    ({"edges": {}}, (ParseError, '"edges" must be a list')),
+    ({"edges": [{"id": "a"}]}, (ParseError, "malformed edge entry {'id': 'a'}")),
+    ({"edges": []}, (ValidationError, "graph has no edges")),
+    ({"edges": [], "rotation": []}, (ValidationError, "graph has no edges")),
+    ({"edges": [], "rotation": {"1": "a"}}, (ValidationError, "graph has no edges")),
+    ({"edges": [], "vertices": ["1", "1"]}, (ValidationError, "graph has no edges")),
+    ({"vertices": [], "edges": [], "rotation": {}}, (ValidationError, "graph has no edges")),
+    ({"vertices": ["a"], "edges": [], "rotation": {"a": []}}, (ValidationError, "graph has no edges")),
+    ({"rotation": ["a"]}, (ParseError, '"rotation" must map vertices to lists of edge ids')),
+    ({"rotation": {**K3_DOC["rotation"], "1": "ac"}},
+     (ParseError, '"rotation" must map vertices to lists of edge ids')),
+    ({"rotation": {"1": ["a", "c"], "2": ["b", "a"]}},
+     (ValidationError, "no rotation given for vertices ['3']")),
+    ({"vertices": ["1", "2", "3", "1"]}, (ValidationError, "duplicate vertex identifier")),
+    ({"edges": K3_EDGES + [{"id": "a", "ends": ["1", "3"]}]},
+     (ValidationError, "duplicate edge identifier")),
+    ({"edges": K3_EDGES[:2] + [{"id": "c", "ends": ["3", "3"]}]},
+     (ValidationError, "edge 'c' is a loop at '3'")),
+    ({"edges": K3_EDGES[:2] + [{"id": "c", "ends": ["3", "9"]}]},
+     (ValidationError, "edge 'c' has unknown endpoint")),
+    ({"rotation": {**K3_DOC["rotation"], "1": ["a"]}},
+     (ValidationError, "rotation at '1' is not a permutation of its incident edges")),
+    (TWO_PIECES, (ValidationError, "underlying graph is not connected")),
+    ({**TWO_PIECES, "rotation": {"a": ["e1"], "b": ["e1"], "c": ["e2"]}},
+     (ValidationError, "no rotation given for vertices ['d']")),
+    ({"vertices": ["1", "2", "3", "4"], "rotation": {**K3_DOC["rotation"], "4": []}},
+     (ValidationError, "underlying graph is not connected")),
+]
+
+
+@pytest.mark.parametrize("fields,error", REJECTED)
+def test_parse_rejection_messages(fields, error):
+    with pytest.raises(error[0]) as exc:
+        parse_ribbon_graph(json.dumps({**K3_DOC, **fields}))
+    assert str(exc.value) == error[1]
 
 
 def test_rotation_successor_cycles():

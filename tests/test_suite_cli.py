@@ -9,11 +9,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treetorsor import bernardi, cli, clear_caches, corpus, ribbon, suite
+from treetorsor import (
+    bernardi, breakdiv, cli, clear_caches, corpus, divisors, duality, ribbon, rotor, suite,
+)
 from treetorsor.bernardi import Tour, bernardi_act
 from treetorsor.cli import COMMANDS, OPTIONS, build_parser, main
 from treetorsor.divisors import PicardGroup, picard_group
@@ -61,6 +64,25 @@ def test_mirror_dual_fails_square_with_witness():
     squares = [r for r in report.records if r.check == "duality-square"]
     assert squares and not squares[0].ok
     assert "gamma" in squares[0].witness and "tree" in squares[0].witness
+
+
+def test_report_check_records_the_last_witness():
+    report = suite.SuiteReport()
+    with report.check("passes", "g"):
+        pass
+    with report.check("bare", "g", {"k": 1}) as fail:
+        fail()
+    with report.check("twice", "g") as fail:
+        fail({"n": 1})
+        fail({"n": 2})
+    with pytest.raises(ZeroDivisionError), report.check("raises", "g") as fail:
+        fail({"n": 3})
+        1 / 0
+    assert [json.loads(r.to_json()) for r in report.records] == [
+        {"check": "passes", "graph": "g", "params": {}, "ok": True},
+        {"check": "bare", "graph": "g", "params": {"k": 1}, "ok": False, "witness": {}},
+        {"check": "twice", "graph": "g", "params": {}, "ok": False, "witness": {"n": 2}},
+    ]
 
 
 def _sha256(text):
@@ -158,9 +180,10 @@ def test_torsor_battery_failure_witnesses():
             assert record.params == {"vertex": G.vertices[0]}
 
 
-def _battery_record(G, check):
+def _battery_record(G, check, battery=None):
     report = suite.SuiteReport()
-    battery = suite._check_divisors if check == "group-axioms" else suite._check_bernardi
+    if battery is None:
+        battery = suite._check_divisors if check == "group-axioms" else suite._check_bernardi
     battery(report, "g", G)
     (record,) = [r for r in report.records if r.check == check]
     return record
@@ -272,6 +295,160 @@ def test_tour_structure_failure_witnesses(monkeypatch):
             record = _battery_record(G, "tour-structure")
         assert not record.ok
         assert record.witness == expected[name, tour], (name, tour.__name__)
+
+
+# -- failure witnesses of the looping checks -----------------------------------
+# Each stand-in breaks one library call as the suite reads it: a name the suite
+# imports, or a function of a module the suite reads through its alias (the
+# module itself is left alone, so no library cache sees a stand-in).
+
+def _module_with(module, **stand_ins):
+    """``module`` as the suite reads it, with some functions replaced."""
+    return SimpleNamespace(**{**vars(module), **stand_ins})
+
+
+def _stuck_face(G, d):
+    """Every successor is the first dart: only the face through it closes."""
+    return G.darts()[0]
+
+
+def _reversed_in_first_tree(G, T, e):
+    cycle = ribbon.fundamental_cycle(G, T, e)
+    return cycle[::-1] if T == spanning_trees(G)[0] else cycle
+
+
+def _unreducing(G, D):
+    """Returns its input: idempotent, but equivalent inputs stay apart."""
+    return dict(D)
+
+
+def _chip_added(G, D):
+    """The reduction plus a chip at the first vertex: never idempotent."""
+    red = divisors.q_reduce(G, D)
+    return {**red, G.vertices[0]: red[G.vertices[0]] + 1}
+
+
+def _first_break(G, D):
+    return breakdiv.enumerate_break_divisors(G)[0]
+
+
+def _first_repeated(G):
+    breaks = breakdiv.enumerate_break_divisors(G)
+    return breaks + breaks[:1]
+
+
+def _first_tree(G, v, e, dt, left):
+    return spanning_trees(G)[0]
+
+
+def _beta_of_first_tree(G, v, e, T):
+    return bernardi.bernardi_beta(G, v, e, spanning_trees(G)[0])
+
+
+def _fixed_from_last_edge(G, v, gamma, T, e=None):
+    """The action, except that from v's last incident edge it fixes every tree."""
+    return T if e == G.incident[v][-1] else bernardi_act(G, v, gamma, T, e=e)
+
+
+def _equal_only_from_one_edge(G, v, e1, e2, T):
+    return {}, {}, e1 == e2
+
+
+def _no_tree_from_second_vertex(G, T, x, y):
+    return frozenset() if x == G.vertices[1] else rotor.rotor_move(G, T, x, y)
+
+
+def _representative_read(G, v, gamma, T):
+    """Depends on the representative, not on its class."""
+    return frozenset(gamma.items())
+
+
+def _first_dart_dropped(G, rotors, chip):
+    states, darts = rotor.unicycle_orbit(G, rotors, chip)
+    return states, darts[1:]
+
+
+def _bfs_only(G, C, orientation="bfs"):
+    return orientation == "bfs"
+
+
+def _zero_psi(corr, chain):
+    return picard_group(corr.dual).zero
+
+
+def _swapped_psi(corr, chain):
+    """psi with the first two nonzero dual classes exchanged: a bijection
+    that keeps zero, but not additive."""
+    group = picard_group(corr.dual)
+    x, y = [c for c in group.elements if c != group.zero][:2]
+    c = duality._psi(corr, chain)
+    return {x: y, y: x}.get(c, c)
+
+
+def _agree_only_at_last(G, v):
+    return (True, None) if v == G.vertices[-1] else (False, {"at": v})
+
+
+RIBBON, DIVISORS, BREAK = suite._check_ribbon, suite._check_divisors, suite._check_break
+BERNARDI, ROTOR, DUALITY = suite._check_bernardi, suite._check_rotor, suite._check_duality
+# (check, battery, graph, suite attribute, its stand-in) -> the witness of the failing record
+WITNESS_CASES = [
+    ("face-permutation-closure", RIBBON, "k4", "face_successor", _stuck_face, {}),
+    ("fundamental-cycle", RIBBON, "k4", "fundamental_cycle", _reversed_in_first_tree,
+     {"edge": "e34", "tree": ["e12", "e13", "e14"]}),
+    ("q-reduce-canonical", DIVISORS, "k4", "dv", _module_with(divisors, q_reduce=_unreducing),
+     {"divisor": {"1": -4, "2": -3, "3": -1, "4": -4},
+      "function": {"1": -2, "2": 0, "3": 0, "4": -3}}),
+    ("q-reduce-canonical", DIVISORS, "theta", "dv", _module_with(divisors, q_reduce=_chip_added),
+     {"divisor": {"u": -1, "v": -4}}),
+    ("break-representative-identity", BREAK, "k4", "bk",
+     _module_with(breakdiv, break_representative=_first_break),
+     {"divisor": {"1": 2, "2": 1, "3": 0, "4": 0}}),
+    ("break-pairwise-inequivalent", BREAK, "k4", "bk",
+     _module_with(breakdiv, enumerate_break_divisors=_first_repeated),
+     {"classes": 16, "count": 17}),
+    ("bernardi-bijectivity", BERNARDI, "k4", "_alpha", _first_tree,
+     {"edge": "e34", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
+    ("bernardi-bijectivity", BERNARDI, "theta", "bernardi_beta", _beta_of_first_tree,
+     {"edge": "r", "vertex": "v"}),
+    ("edge-independence", BERNARDI, "k4", "bernardi_act", _fixed_from_last_edge,
+     {"gamma": {"1": -1, "4": 1}, "tree": ["e14", "e24", "e34"], "vertex": "4"}),
+    ("shift-formula", BERNARDI, "k4", "shift_difference_check", _equal_only_from_one_edge,
+     {"edge1": "e34", "edge2": "e24", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
+    ("rotor-move-tree", ROTOR, "k4", "rt",
+     _module_with(rotor, rotor_move=_no_tree_from_second_vertex),
+     {"from": "2", "tree": ["e12", "e14", "e23"]}),
+    ("rotor-representative-independence", ROTOR, "k4", "rt",
+     _module_with(rotor, rotor_act=_representative_read),
+     {"function": {"1": 2, "2": -2, "3": 1, "4": 0}, "gamma": {"1": -1, "4": 1},
+      "tree": ["e12", "e13", "e34"]}),
+    ("unicycle-periodicity", ROTOR, "k4", "rt",
+     _module_with(rotor, unicycle_orbit=_first_dart_dropped),
+     {"cycle": [["e12", "1"], ["e23", "2"], ["e34", "3"], ["e14", "4"]]}),
+    ("reversibility-orientation-independence", ROTOR, "theta", "rt",
+     _module_with(rotor, cycle_is_reversible=_bfs_only),
+     {"cycle": [["q", "u"], ["r", "v"]]}),
+    ("psi-isomorphism", DUALITY, "theta", "du", _module_with(duality, _psi=_zero_psi),
+     {"dual_order": 3, "order": 3}),
+    ("psi-isomorphism", DUALITY, "k4-planar", "du", _module_with(duality, _psi=_swapped_psi),
+     {"a": [-1, 1, 0, 0], "b": [-1, 0, 0, 1]}),
+    ("torsor-agreement", suite._check_comparisons, "k4-planar", "compare_torsors",
+     _agree_only_at_last, {"at": "3", "vertex": "3"}),
+]
+
+
+@pytest.mark.parametrize(
+    "check,battery,graph,name,stand_in,expected",
+    [pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in WITNESS_CASES],
+)
+def test_looping_check_failure_witnesses(check, battery, graph, name, stand_in, expected, monkeypatch):
+    # the witness of the last failure in loop order, exactly as the stream prints it
+    G = dict(TORSOR_GRAPHS)[graph]
+    assert _battery_record(G, check, battery).ok
+    monkeypatch.setattr(suite, name, stand_in)
+    record = _battery_record(G, check, battery)
+    assert not record.ok
+    assert json.loads(record.to_json())["witness"] == expected
 
 
 def test_compare_vertices_planar_vs_not():
