@@ -195,19 +195,68 @@ class VertexSplit:
     side_second: frozenset
 
 
+def _arc_labels(G: RibbonGraph, v: str, T: frozenset) -> dict[str, int]:
+    """Each vertex of T - v labelled with the rotation index at v of the tree
+    edge whose component holds it: one search per tree edge at v."""
+    T = _shared_tree(G, T)
+    forest = T.difference(G.incident[v])
+    labels: dict[str, int] = {}
+    for x, f in enumerate(G.rotation[v]):
+        if f in T:
+            labels.update(dict.fromkeys(reach(G, [G.other_end(f, v)], forest), x))
+    return labels
+
+
+def _cut_ends(G: RibbonGraph, v: str, T: frozenset) -> tuple[tuple[int, int, int, int], ...]:
+    """Each non-tree edge as (file position, label) of its two ends: an end
+    at v labelled by the edge's own rotation index there, any other end by
+    ``_arc_labels``."""
+    labels = _arc_labels(G, v, T)
+    own = {f: x for x, f in enumerate(G.rotation[v])}
+    at = G._vertex_pos
+    return tuple(
+        (at[a], own[f] if a == v else labels[a], at[b], own[f] if b == v else labels[b])
+        for f, (a, b) in G.edges
+        if f not in T
+    )
+
+
+def _first_arc(G: RibbonGraph, v: str, e1: str, e2: str) -> list[bool]:
+    """Whether each rotation index at v lies on the first arc: from e1 up to
+    (excluding) e2, all of rotation(v) when e1 == e2.  A vertex other than v
+    lies on the first side when its ``_arc_labels`` label does."""
+    cycle = G.rotation[v]
+    k, i = len(cycle), cycle.index(e1)
+    span = (cycle.index(e2) - i) % k or k
+    return [(x - i) % k < span for x in range(k)]
+
+
+def _shift_sides(
+    G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset, first: list[bool], ends: tuple
+) -> tuple[list[int], list[int]]:
+    """Both sides of the shift formula in vertex file order (see
+    ``shift_difference_check``): beta1 - beta2, and the arc formula read off
+    ``first = _first_arc(G, v, e1, e2)`` and ``ends = _cut_ends(G, v, T)``."""
+    b1 = bernardi_beta(G, v, e1, T).chips
+    b2 = bernardi_beta(G, v, e2, T).chips
+    rhs = [0] * len(b1)
+    for a, la, b, lb in ends:
+        if first[la] != first[lb]:
+            near, far = (a, b) if first[la] else (b, a)
+            rhs[near] += 1
+            rhs[far] -= 1
+    return list(map(operator.sub, b1, b2)), rhs
+
+
 def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> VertexSplit:
     _check_incident(G, v, e1)
     _check_incident(G, v, e2)
+    first = _first_arc(G, v, e1, e2)
     cycle = G.rotation[v]
-    k, i = len(cycle), cycle.index(e1)
-    # the first arc ends where e2 begins; it is all of rotation(v) when e1 == e2
-    cut = i + ((cycle.index(e2) - i) % k or k)
-    twice = cycle + cycle
-    arc_first, arc_second = twice[i:cut], twice[cut : i + k]
-    # T spans, so the components of T - v that arc_second's tree edges enter are the rest
-    forest = _shared_tree(G, T).difference(G.incident[v])
-    first = frozenset(reach(G, [G.other_end(f, v) for f in arc_first if f in T], forest))
-    return VertexSplit(arc_first, arc_second, first, frozenset(G.vertices) - first - {v})
+    i, span = cycle.index(e1), first.count(True)
+    turn = cycle[i:] + cycle[:i]  # rotation(v) from e1
+    side = frozenset(w for w, x in _arc_labels(G, v, T).items() if first[x])
+    return VertexSplit(turn[:span], turn[span:], side, frozenset(G.vertices) - side - {v})
 
 
 def shift_difference_check(
@@ -220,21 +269,10 @@ def shift_difference_check(
     A non-tree edge whose ends lie on different sides adds +1 at its
     first-side end and -1 at the other.
     """
-    b1 = bernardi_beta(G, v, e1, T).chips
-    b2 = bernardi_beta(G, v, e2, T).chips
-    lhs = dv.tuple_to_divisor(G, tuple(a - b for a, b in zip(b1, b2)))
-
-    split = vertex_split(G, v, e1, e2, T)
-    arc, side = set(split.arc_first), split.side_first
-    rhs = dict.fromkeys(G.vertices, 0)
-    for f, (a, b) in G.edges:
-        if f not in T:
-            a_first = f in arc if a == v else a in side
-            if a_first != (f in arc if b == v else b in side):
-                near, far = (a, b) if a_first else (b, a)
-                rhs[near] += 1
-                rhs[far] -= 1
-    return lhs, rhs, lhs == rhs
+    _check_incident(G, v, e1)
+    _check_incident(G, v, e2)
+    lhs, rhs = _shift_sides(G, v, e1, e2, T, _first_arc(G, v, e1, e2), _cut_ends(G, v, T))
+    return dv.tuple_to_divisor(G, lhs), dv.tuple_to_divisor(G, rhs), lhs == rhs
 
 
 def beta_table(G: RibbonGraph, v: str, e: str) -> dict[frozenset, tuple[int, ...]]:

@@ -368,6 +368,31 @@ def test_vertex_split_matches_two_reach_oracle_random(seed):
     _assert_split_matches_oracle(G, spanning_trees(G)[:12])
 
 
+def test_split_and_shift_oracles_catch_a_mutant_labelling(monkeypatch):
+    # vertex_split and shift_difference_check share one side labelling; each
+    # oracle must catch a labelling that is wrong away from v or at v
+    G, labels, ends = corpus.k4(), bernardi._arc_labels, bernardi._cut_ends
+    trees = spanning_trees(G)
+
+    def one_side(G, v, T):
+        return dict.fromkeys(labels(G, v, T), 0)
+
+    def ends_at_v_unlabelled(G, v, T):
+        at = G._vertex_pos[v]
+        return tuple((a, 0 if a == at else la, b, 0 if b == at else lb)
+                     for a, la, b, lb in ends(G, v, T))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bernardi, "_arc_labels", one_side)
+        with pytest.raises(AssertionError):
+            _assert_split_matches_oracle(G, trees)
+    with monkeypatch.context() as patch:
+        patch.setattr(bernardi, "_cut_ends", ends_at_v_unlabelled)
+        with pytest.raises(AssertionError):
+            _assert_shift_rhs_matches_four_cases(G, trees)
+        _assert_split_matches_oracle(G, trees)
+
+
 def test_unknown_base_vertex_is_missing_vertex():
     G, T = corpus.k3(), frozenset({"a", "b"})
     calls = [(act, G, "zz", {"2": 1, "1": -1}, T) for act in (bernardi_act, rotor_act)]

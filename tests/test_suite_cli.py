@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -123,7 +124,18 @@ def _torsor_record(G, act):
     return record
 
 
-@pytest.mark.parametrize("act", [bernardi_act, rotor_act])
+def _bernardi_key_act(G, v, c, T):
+    """The Bernardi action on a class key, as ``_check_bernardi`` passes it."""
+    return bernardi._act(G, v, G.rotation[v][0], c, T)
+
+
+# each id names the public action whose class-key body the battery is given
+KEY_ACTS = [
+    pytest.param(_bernardi_key_act, id="bernardi_act"), pytest.param(rotor._act, id="rotor_act"),
+]
+
+
+@pytest.mark.parametrize("act", KEY_ACTS)
 @pytest.mark.parametrize("G", [G for _, G in TORSOR_GRAPHS], ids=[n for n, _ in TORSOR_GRAPHS])
 def test_torsor_battery_calls_action_once_per_class_and_tree(G, act):
     calls = []
@@ -140,8 +152,8 @@ def _twisted(G):
     """T -> trees[(i(T) + s(j(c))) mod N], s swapping 1 and 2: not additive."""
     trees, group = spanning_trees(G), picard_group(G)
 
-    def act(G, v, gamma, T):
-        j = group.elements.index(group.class_of(gamma))
+    def act(G, v, c, T):
+        j = group.elements.index(c)
         return trees[(trees.index(T) + {1: 2, 2: 1}.get(j, j)) % len(trees)]
 
     return act
@@ -169,8 +181,8 @@ def test_torsor_battery_failure_witnesses():
     }
     for name, G in TORSOR_GRAPHS[:2]:
         actions = {
-            "constant": lambda G, v, gamma, T: T,
-            "empty": lambda G, v, gamma, T: frozenset(),
+            "constant": lambda G, v, c, T: T,
+            "empty": lambda G, v, c, T: frozenset(),
             "twisted": _twisted(G),
         }
         for kind, act in actions.items():
@@ -345,13 +357,14 @@ def _beta_of_first_tree(G, v, e, T):
     return bernardi.bernardi_beta(G, v, e, spanning_trees(G)[0])
 
 
-def _fixed_from_last_edge(G, v, gamma, T, e=None):
+def _fixed_from_last_edge(G, v, e, key, T):
     """The action, except that from v's last incident edge it fixes every tree."""
-    return T if e == G.incident[v][-1] else bernardi_act(G, v, gamma, T, e=e)
+    return T if e == G.incident[v][-1] else bernardi._act(G, v, e, key, T)
 
 
-def _equal_only_from_one_edge(G, v, e1, e2, T):
-    return {}, {}, e1 == e2
+def _equal_only_from_one_edge(G, v, e1, e2, T, first, ends):
+    """Sides that differ exactly when the two edges do."""
+    return [e1], [e2]
 
 
 def _no_tree_from_second_vertex(G, T, x, y):
@@ -411,9 +424,9 @@ WITNESS_CASES = [
      {"edge": "e34", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
     ("bernardi-bijectivity", BERNARDI, "theta", "bernardi_beta", _beta_of_first_tree,
      {"edge": "r", "vertex": "v"}),
-    ("edge-independence", BERNARDI, "k4", "bernardi_act", _fixed_from_last_edge,
+    ("edge-independence", BERNARDI, "k4", "_act", _fixed_from_last_edge,
      {"gamma": {"1": -1, "4": 1}, "tree": ["e14", "e24", "e34"], "vertex": "4"}),
-    ("shift-formula", BERNARDI, "k4", "shift_difference_check", _equal_only_from_one_edge,
+    ("shift-formula", BERNARDI, "k4", "_shift_sides", _equal_only_from_one_edge,
      {"edge1": "e34", "edge2": "e24", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
     ("rotor-move-tree", ROTOR, "k4", "rt",
      _module_with(rotor, rotor_move=_no_tree_from_second_vertex),
@@ -449,6 +462,129 @@ def test_looping_check_failure_witnesses(check, battery, graph, name, stand_in, 
     record = _battery_record(G, check, battery)
     assert not record.ok
     assert json.loads(record.to_json())["witness"] == expected
+
+
+# -- the Bernardi and rotor batteries against the public actions ---------------
+# The batteries compare bernardi._act and rotor._act on class keys and read the
+# shift formula's sides from one labelling per (v, T).  Each answer they read
+# must equal the public call the suite used to make for it.
+
+def _recorded(patch, module, name):
+    """Replace ``module.name`` by a wrapper that keeps each (args, result)."""
+    calls, f = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append((args, f(*args)))
+        return calls[-1][1]
+
+    patch.setattr(module, name, wrapper)
+    return calls
+
+
+def _assert_batteries_match_public_paths(G, stand_ins=()):
+    """Run ``_check_bernardi`` and ``_check_rotor`` on G, optionally with some
+    suite names replaced, and check every action image and every pair of
+    shift-formula sides they read against the public path."""
+    trees, group, q = spanning_trees(G), picard_group(G), G.vertices[0]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, stand_in in stand_ins:
+            patch.setattr(suite, name, stand_in)
+        acts = _recorded(patch, suite, "_act")
+        sides = _recorded(patch, suite, "_shift_sides")
+        suite._check_bernardi(suite.SuiteReport(), "g", G)
+        patch.setattr(suite, "rt", _module_with(rotor))
+        rotor_acts = _recorded(patch, suite.rt, "_act")
+        suite._check_rotor(suite.SuiteReport(), "g", G)
+
+    # the torsor tables and edge-independence, through bernardi_act(..., e=e)
+    for (_, v, e, key, T), image in acts:
+        assert image == bernardi_act(G, v, divisors.tuple_to_divisor(G, key), T, e=e)
+    torsor = {(q, G.rotation[q][0], c, T) for c in group.elements for T in trees}
+    edges = {
+        (v, e, key, T)
+        for v in G.vertices for e in G.incident[v]
+        for _, key in suite._generator_keys(G, q) for T in trees
+    }
+    assert {args[1:] for args, _ in acts} == torsor | edges
+    # the rotor torsor table, through rotor_act
+    for (_, v, c, T), image in rotor_acts:
+        assert image == rotor_act(G, v, divisors.tuple_to_divisor(G, c), T)
+    assert {args[1:] for args, _ in rotor_acts} == {(q, c, T) for c in group.elements for T in trees}
+    # the shift formula, through shift_difference_check
+    for (_, v, e1, e2, T, _, _), (lhs, rhs) in sides:
+        expected = divisors.tuple_to_divisor(G, lhs), divisors.tuple_to_divisor(G, rhs), lhs == rhs
+        assert bernardi.shift_difference_check(G, v, e1, e2, T) == expected, (v, e1, e2, sorted(T))
+    assert [args[1:5] for args, _ in sides] == [
+        (v, e1, e2, T)
+        for v in G.vertices for e1, e2 in product(G.incident[v], repeat=2) for T in trees
+    ]
+
+
+def test_batteries_match_public_paths_on_default_corpus():
+    checked = 0
+    for _, G in corpus.default_corpus():
+        if len(spanning_trees(G)) <= 200:
+            _assert_batteries_match_public_paths(G)
+            checked += 1
+    assert checked >= 20
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_batteries_match_public_paths_random(seed):
+    _assert_batteries_match_public_paths(corpus.random_multigraph(random.Random(seed)))
+
+
+def _ends_at_v_unlabelled(G, v, T):
+    """The side labelling, except that every edge end at v takes the label of
+    rotation(v)'s first edge: it ignores the arc an edge leaves v by."""
+    at = G._vertex_pos[v]
+    return tuple(
+        (a, 0 if a == at else la, b, 0 if b == at else lb)
+        for a, la, b, lb in bernardi._cut_ends(G, v, T)
+    )
+
+
+def _identity_on_classes(G, v, e, key, T):
+    return T
+
+
+@pytest.mark.parametrize(
+    "name,stand_in",
+    [("_cut_ends", _ends_at_v_unlabelled), ("_act", _fixed_from_last_edge),
+     ("_act", _identity_on_classes)],
+    ids=["labelling-ignores-arc-at-v", "act-fixed-from-last-edge", "act-ignores-class"],
+)
+def test_batteries_match_public_paths_catches_a_mutant(name, stand_in):
+    G = corpus.k4()
+    _assert_batteries_match_public_paths(G)
+    with pytest.raises(AssertionError):
+        _assert_batteries_match_public_paths(G, [(name, stand_in)])
+
+
+def test_bernardi_battery_makes_no_public_call(monkeypatch):
+    # cold, then warm: no public action, shift check, split or class conversion,
+    # except each generator's one conversion per graph; one labelling per (v, T)
+    G = corpus.k4()
+    calls = {
+        name: _recorded(monkeypatch, module, name)
+        for module, name in [
+            (bernardi, "bernardi_act"), (bernardi, "shift_difference_check"),
+            (bernardi, "vertex_split"), (divisors, "divisor_to_tuple"), (suite, "_cut_ends"),
+        ]
+    }
+    labellings = len(G.vertices) * len(spanning_trees(G))
+    clear_caches()
+    suite._check_bernardi(suite.SuiteReport(), "k4", G)
+    assert {n: len(c) for n, c in calls.items() if c} == {
+        "divisor_to_tuple": len(G.vertices) - 1, "_cut_ends": labellings,
+    }
+    for c in calls.values():
+        c.clear()
+    report = suite.SuiteReport()
+    suite._check_bernardi(report, "k4", G)
+    assert report.ok
+    assert {n: len(c) for n, c in calls.items() if c} == {"_cut_ends": labellings}
 
 
 def test_compare_vertices_planar_vs_not():
