@@ -67,9 +67,9 @@ from .suite import (
 
 def clear_caches() -> None:
     """Empty every module-level cache of the package: the ``lru_cache`` and
-    ``rotation_free`` caches and the CLI's parsers.  The next call then
-    computes from scratch, as in a new process.  The graph intern table holds
-    no strong references and is left alone, so a graph still referenced
+    ``rotation_free`` caches, the CLI's parsers among them.  The next call
+    then computes from scratch, as in a new process.  The graph intern table
+    holds no strong references and is left alone, so a graph still referenced
     before the reset is the one an equal constructor call returns after it."""
     prefix = __name__ + "."
     for name, module in list(sys.modules.items()):
@@ -77,9 +77,6 @@ def clear_caches() -> None:
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-    cli = sys.modules.get(prefix + "cli")  # its parsers exist only once it is imported
-    if cli:
-        cli._parsers.clear()
 
 
 __all__ = [

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import bernardi as bn
@@ -290,18 +291,20 @@ def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per command name, None for every other first word; emptied by clear_caches
-_parsers: dict[str | None, argparse.ArgumentParser] = {}
+@lru_cache(maxsize=None)
+def _parser(name: str | None) -> argparse.ArgumentParser:
+    """One parser per command name, None for every other first word."""
+    return build_parser(name)
+
+
 _NAMES = {cmd.name for cmd in COMMANDS}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv and argv[0] in _NAMES else None
-    if name not in _parsers:
-        _parsers[name] = build_parser(name)
     try:
-        args = _parsers[name].parse_args(argv)
+        args = _parser(name).parse_args(argv)
         cmd = args.cmd
         G = _load_graph(args.file) if cmd.graph else None
         values = [G] if cmd.graph else []

@@ -164,6 +164,18 @@ def _q_reduce(G: RibbonGraph, dt: tuple[int, ...], q: str) -> tuple[int, ...]:
     return tuple(coeff)
 
 
+@rotation_free
+def _generator_keys(G: RibbonGraph, r: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(u, the r-reduced key of [(u) - (q)]) for each vertex u != q, with q the
+    first vertex: each class is reduced once per underlying graph and base r."""
+    n = len(G.vertices)
+    return tuple(
+        (u, _q_reduce(G, tuple((i == k) - (i == 0) for i in range(n)), r))
+        for k, u in enumerate(G.vertices)
+        if k
+    )
+
+
 def q_reduce(
     G: RibbonGraph, D: Mapping[str, int], q: str | None = None
 ) -> dict[str, int]:
@@ -247,9 +259,6 @@ class PicardGroup:
         self.order = len(self.elements)
         self.zero = (0,) * len(G.vertices)
 
-    def class_of(self, D: Mapping[str, int]) -> tuple[int, ...]:
-        return _q_reduce(self.graph, divisor_to_tuple(self.graph, D), self.q)
-
     def add(self, c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
         return _q_reduce(self.graph, tuple(map(operator.add, c1, c2)), self.q)
 
@@ -258,12 +267,7 @@ class PicardGroup:
 
     def generators(self) -> dict[str, tuple[int, ...]]:
         """Class of (u) - (q) for each vertex u != q."""
-        G, n = self.graph, len(self.graph.vertices)
-        return {
-            u: _q_reduce(G, tuple((i == k) - (i == 0) for i in range(n)), self.q)
-            for k, u in enumerate(G.vertices)
-            if k
-        }
+        return dict(_generator_keys(self.graph, self.q))
 
 
 @rotation_free

@@ -123,22 +123,15 @@ def _psi(corr: DualCorrespondence, chain: Mapping[Dart, int]) -> tuple[int, ...]
     return dv._q_reduce(dual, _boundary(dual, pushed), dual.vertices[0])
 
 
-def psi_class(
-    corr: DualCorrespondence,
-    gamma: Mapping[str, int],
-    chain: Mapping[Dart, int] | None = None,
-) -> dict[str, int]:
+def psi_class(corr: DualCorrespondence, gamma: Mapping[str, int]) -> dict[str, int]:
     """Image of a degree-0 class under the duality isomorphism.
 
-    Lift the class to a 1-chain, push the chain dart-by-dart through the dart
-    correspondence, and take the boundary on the dual; returns the q-reduced
-    representative of the resulting class.  ``chain`` may supply an explicit
-    lift (used to test representative-independence).
+    Lift the class to a 1-chain (``_chain_for``), push the chain dart-by-dart
+    through the dart correspondence, and take the boundary on the dual;
+    returns the q-reduced representative of the resulting class.
     """
     dv.class_to_tuple(corr.primal, gamma)  # known vertices, degree 0
-    if chain is None:
-        chain = _chain_for(corr.primal, gamma)
-    return dv.tuple_to_divisor(corr.dual, _psi(corr, chain))
+    return dv.tuple_to_divisor(corr.dual, _psi(corr, _chain_for(corr.primal, gamma)))
 
 
 def duality_square_check(

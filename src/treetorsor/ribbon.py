@@ -218,9 +218,8 @@ class RibbonGraph:
 
     # -- connectivity ------------------------------------------------------
 
-    def is_connected(self, without: str | None = None) -> bool:
-        edges = None if without is None else set(self.edge_ids) - {without}
-        return len(reach(self, self.vertices[:1], edges)) == len(self.vertices)
+    def is_connected(self) -> bool:
+        return len(reach(self, self.vertices[:1])) == len(self.vertices)
 
     # -- serialization ------------------------------------------------------
 
@@ -394,18 +393,13 @@ def tree_path(G: RibbonGraph, T: frozenset, start: str, goal: str) -> list[Dart]
     return path
 
 
-def fundamental_cycle(
-    G: RibbonGraph, T: frozenset, e: str, tail: str | None = None
-) -> tuple[Dart, ...]:
+def fundamental_cycle(G: RibbonGraph, T: frozenset, e: str) -> tuple[Dart, ...]:
     """The unique simple cycle in ``T + e`` as darts, starting with ``e``.
 
-    The first dart leaves ``tail`` (default: the first endpoint of ``e`` in
-    file order); the rest of the cycle runs through ``T``.
+    The first dart leaves the first endpoint of ``e`` in file order; the rest
+    of the cycle runs through ``T``.
     """
     if e in _shared_tree(G, T):
         raise EdgeInTree(f"edge {e!r} belongs to the spanning tree")
-    a, b = G.ends[e]
-    if tail is None:
-        tail = a
-    head = G.other_end(e, tail)
+    tail, head = G.ends[e]
     return tuple([Dart(e, tail)] + tree_path(G, T, head, tail))

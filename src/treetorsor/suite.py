@@ -36,7 +36,6 @@ from .ribbon import (
     face_successor,
     fundamental_cycle,
     known_vertex,
-    rotation_free,
     spanning_trees,
     trace_faces,
 )
@@ -108,21 +107,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _generators(G: RibbonGraph) -> list[tuple[str, dict]]:
-    """The classes [(u) - (q)] for u != q, as (u, divisor) pairs."""
-    q = G.vertices[0]
-    return [(u, {u: 1, q: -1}) for u in G.vertices[1:]]
-
-
-@rotation_free
-def _generator_keys(G: RibbonGraph, r: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(u, the r-reduced key of [(u) - (q)]) for each generator: each class is
-    converted and reduced once per underlying graph and base r."""
-    return tuple(
-        (u, dv._q_reduce(G, dv.class_to_tuple(G, gamma), r)) for u, gamma in _generators(G)
-    )
-
-
 # -- torsor comparisons ------------------------------------------------------
 
 
@@ -133,12 +117,12 @@ def compare_bernardi_vertices(
 
     Agreement on generator classes at every tree suffices: a general class is
     a sum of generators and both actions are additive.  Each generator is
-    converted and reduced once per underlying graph, not once per tree.
+    reduced once per underlying graph, not once per tree.
     """
     e1 = G.rotation[known_vertex(G, v1)][0]
     e2 = G.rotation[known_vertex(G, v2)][0]
     q = G.vertices[0]
-    for u, key in _generator_keys(G, q):
+    for u, key in dv._generator_keys(G, q):
         for T in spanning_trees(G):
             if _act(G, v1, e1, key, T) != _act(G, v2, e2, key, T):
                 return False, {"gamma": {u: 1, q: -1}, "tree": sorted(T)}
@@ -149,7 +133,7 @@ def compare_torsors(G: RibbonGraph, v: str) -> tuple[bool, dict | None]:
     """Whether the Bernardi and rotor-routing actions at v coincide."""
     e = G.rotation[known_vertex(G, v)][0]
     q = G.vertices[0]
-    for (u, key_q), (_, key_v) in zip(_generator_keys(G, q), _generator_keys(G, v)):
+    for (u, key_q), (_, key_v) in zip(dv._generator_keys(G, q), dv._generator_keys(G, v)):
         for T in spanning_trees(G):
             if _act(G, v, e, key_q, T) != rt._act(G, v, key_v, T):
                 return False, {"gamma": {u: 1, q: -1}, "tree": sorted(T)}
@@ -232,7 +216,7 @@ def _check_divisors(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                             fail({"a": list(a), "b": list(b), "c": list(c)})
 
     with report.check("class-translation-bijection", name) as fail:
-        for u, g in _generator_keys(G, group.q):
+        for u, g in dv._generator_keys(G, group.q):
             if {group.add(g, c) for c in group.elements} != set(group.elements):
                 fail({"gamma": {u: 1, group.q: -1}})
 
@@ -295,7 +279,7 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     q = G.vertices[0]
     with report.check("edge-independence", name) as fail:
         for v in G.vertices:
-            for u, key in _generator_keys(G, q):
+            for u, key in dv._generator_keys(G, q):
                 for T in trees:
                     if len({_act(G, v, e, key, T) for e in G.incident[v]}) != 1:
                         fail({"vertex": v, "gamma": {u: 1, q: -1}, "tree": sorted(T)})
@@ -331,7 +315,7 @@ def _check_torsor_axioms(
                 fail({"axiom": "identity", "tree": sorted(T)})
 
         # additivity on generators suffices: every class is a sum of generators
-        for u, g in _generator_keys(G, v):
+        for u, g in dv._generator_keys(G, v):
             for c in group.elements:
                 combined = table[group.add(g, c)]
                 for T in trees:
@@ -361,7 +345,8 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     v = G.vertices[0]
     with report.check("rotor-representative-independence", name) as fail:
         for T in trees[:3]:
-            for u, gamma in _generators(G):
+            for u in G.vertices[1:]:
+                gamma = {u: 1, v: -1}
                 f = {w: rng.randint(-2, 2) for w in G.vertices}
                 shifted = dv.add(gamma, dv.laplacian_of(G, f))
                 if rt.rotor_act(G, v, gamma, T) != rt.rotor_act(G, v, shifted, T):

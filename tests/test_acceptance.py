@@ -22,7 +22,7 @@ from treetorsor.bernardi import (
     bernardi_beta,
     shift_difference_check,
 )
-from treetorsor.ribbon import RibbonGraph, spanning_trees, trace_faces
+from treetorsor.ribbon import RibbonGraph, reach, spanning_trees, trace_faces
 
 CORPUS = corpus.default_corpus()
 
@@ -32,7 +32,8 @@ def _planar(G: RibbonGraph) -> bool:
 
 
 def _bridgeless(G: RibbonGraph) -> bool:
-    return all(G.is_connected(without=e) for e in G.edge_ids)
+    n, root = len(G.vertices), G.vertices[:1]
+    return all(len(reach(G, root, set(G.edge_ids) - {e})) == n for e in G.edge_ids)
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ from treetorsor import divisors as dv
 from treetorsor import rotor as rt
 from treetorsor.errors import DegreeMismatch, ValidationError
 from treetorsor.ribbon import RibbonGraph, _shared_tree, spanning_trees
-from treetorsor.suite import _generator_keys, search_conjecture
+from treetorsor.suite import search_conjecture
 
 
 def random_graph(seed):
@@ -318,7 +318,7 @@ def test_is_break_minus_edges_matches_explicit_minor_random(seed, data):
 
 ROTATION_FREE = [spanning_trees, rt.simple_cycles, dv.picard_group, bk._enumerate,
                  dv._q_reduce, bk._is_break, bk._break_rep, _shared_tree, rt._tree_rotors,
-                 _generator_keys]
+                 dv._generator_keys]
 
 
 def _plain(value):
@@ -349,7 +349,7 @@ def _rotation_free_queries(H, rng):
                 (bk._is_break, (frozenset(), shifted)),
                 (_shared_tree, (T,)),
                 (rt._tree_rotors, (T, v)),
-                (_generator_keys, (v,))]
+                (dv._generator_keys, (v,))]
         for f in H.edge_ids:
             if f not in T:
                 i = H.vertex_pos(rng.choice(H.ends[f]))
@@ -380,7 +380,7 @@ def test_rotation_systems_share_the_rotation_free_caches():
     assert _shared_tree.cache_info().currsize <= len(spanning_trees(corpus.k4())) == 16
     assert rt._tree_rotors.cache_info().currsize <= 16 * 4
     # one generator table per base vertex of the one underlying graph
-    assert _generator_keys.cache_info().currsize == 4
+    assert dv._generator_keys.cache_info().currsize == 4
 
 
 def test_skeleton_is_shared_and_carries_the_break_divisors():

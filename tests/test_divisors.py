@@ -214,3 +214,54 @@ def test_base_point_independence_of_classes():
             for q in G.vertices
         }
         assert len(verdicts) == 1
+
+
+# -- the generator classes [(u) - (q)] --------------------------------------------
+
+
+def _assert_generators_match_oracle(G):
+    """``_generator_keys`` at every base r against reducing the name-keyed
+    class {u: 1, q: -1}, and ``PicardGroup.generators`` against both."""
+    q = G.vertices[0]
+    for r in G.vertices:
+        expected = tuple(
+            (u, dv._q_reduce(G, dv.class_to_tuple(G, {u: 1, q: -1}), r))
+            for u in G.vertices[1:]
+        )
+        assert dv._generator_keys(G, r) == expected, r
+    group = dv.picard_group(G)
+    generators = group.generators()
+    assert generators == dict(dv._generator_keys(G, q))
+    assert list(generators) == list(G.vertices[1:])
+    assert set(generators.values()) <= set(group.elements)
+
+
+def test_generator_keys_match_oracle_on_default_corpus():
+    graphs = corpus.default_corpus()
+    assert len(graphs) == 36
+    for _, G in graphs:
+        _assert_generators_match_oracle(G)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_generator_keys_match_oracle_random(seed):
+    _assert_generators_match_oracle(random_graph(seed))
+
+
+def _generator_keys_signs_swapped(G, r):
+    """The classes [(q) - (u)] in place of [(u) - (q)]."""
+    n = len(G.vertices)
+    return tuple(
+        (u, dv._q_reduce(G, tuple((i == 0) - (i == k) for i in range(n)), r))
+        for k, u in enumerate(G.vertices)
+        if k
+    )
+
+
+def test_generator_oracle_catches_swapped_signs(monkeypatch):
+    G = corpus.k4()
+    _assert_generators_match_oracle(G)
+    monkeypatch.setattr(dv, "_generator_keys", _generator_keys_signs_swapped)
+    with pytest.raises(AssertionError):
+        _assert_generators_match_oracle(G)

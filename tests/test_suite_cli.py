@@ -503,7 +503,7 @@ def _assert_batteries_match_public_paths(G, stand_ins=()):
     edges = {
         (v, e, key, T)
         for v in G.vertices for e in G.incident[v]
-        for _, key in suite._generator_keys(G, q) for T in trees
+        for _, key in divisors._generator_keys(G, q) for T in trees
     }
     assert {args[1:] for args, _ in acts} == torsor | edges
     # the rotor torsor table, through rotor_act
@@ -563,8 +563,8 @@ def test_batteries_match_public_paths_catches_a_mutant(name, stand_in):
 
 
 def test_bernardi_battery_makes_no_public_call(monkeypatch):
-    # cold, then warm: no public action, shift check, split or class conversion,
-    # except each generator's one conversion per graph; one labelling per (v, T)
+    # cold, then warm: no public action, shift check, split or class conversion
+    # (the generators are built as tuples); one labelling per (v, T)
     G = corpus.k4()
     calls = {
         name: _recorded(monkeypatch, module, name)
@@ -576,9 +576,7 @@ def test_bernardi_battery_makes_no_public_call(monkeypatch):
     labellings = len(G.vertices) * len(spanning_trees(G))
     clear_caches()
     suite._check_bernardi(suite.SuiteReport(), "k4", G)
-    assert {n: len(c) for n, c in calls.items() if c} == {
-        "divisor_to_tuple": len(G.vertices) - 1, "_cut_ends": labellings,
-    }
+    assert {n: len(c) for n, c in calls.items() if c} == {"_cut_ends": labellings}
     for c in calls.values():
         c.clear()
     report = suite.SuiteReport()
@@ -609,7 +607,8 @@ def test_compare_torsors():
 
 def _compare_torsors_oracle(G, v):
     """compare_torsors through the public actions, one call per tree."""
-    for _, gamma in suite._generators(G):
+    for u in G.vertices[1:]:
+        gamma = {u: 1, G.vertices[0]: -1}
         for T in spanning_trees(G):
             if bernardi_act(G, v, gamma, T) != rotor_act(G, v, gamma, T):
                 return False, {"gamma": gamma, "tree": sorted(T)}
@@ -618,7 +617,8 @@ def _compare_torsors_oracle(G, v):
 
 def _compare_vertices_oracle(G, v1, v2):
     """compare_bernardi_vertices through the public action, one call per tree."""
-    for _, gamma in suite._generators(G):
+    for u in G.vertices[1:]:
+        gamma = {u: 1, G.vertices[0]: -1}
         for T in spanning_trees(G):
             if bernardi_act(G, v1, gamma, T) != bernardi_act(G, v2, gamma, T):
                 return False, {"gamma": gamma, "tree": sorted(T)}
@@ -902,11 +902,11 @@ def test_build_parser_builds_only_the_named_command():
 def test_main_keeps_one_parser_per_command(k3_file):
     clear_caches()
     assert main(["info", k3_file]) == 0
-    assert list(cli._parsers) == ["info"]
-    assert list(_subparsers(cli._parsers["info"])) == ["info"]
+    assert cli._parser.cache_info().currsize == 1
+    assert list(_subparsers(cli._parser("info"))) == ["info"]
     for i in range(10):
         assert main([f"no-such-command-{i}", k3_file]) == 2
-    assert len(cli._parsers) <= 2
+    assert cli._parser.cache_info().currsize <= 2
 
 
 def _package_caches():
@@ -920,14 +920,17 @@ def _package_caches():
     return list(found.values())
 
 
-def test_clear_caches_empties_every_cache():
+def test_clear_caches_empties_every_cache(k3_file):
+    assert main(["info", k3_file]) == 0
     k4 = [("k4", corpus.k4())]
     first = suite.run_theorem_suite(k4).dump()
     caches = _package_caches()
     assert len(caches) >= 13
-    assert {id(ribbon._shared_tree), id(bernardi.bernardi_beta), id(suite._generator_keys)} <= {
-        id(c) for c in caches
-    }
+    assert {
+        id(ribbon._shared_tree), id(bernardi.bernardi_beta), id(divisors._generator_keys),
+        id(cli._parser),
+    } <= {id(c) for c in caches}
+    assert cli._parser.cache_info().currsize > 0
     assert any(c.cache_info().currsize for c in caches)
     graph = k4[0][1]
     assert ribbon._GRAPHS[graph._key] is graph
