@@ -4,16 +4,18 @@ induced group action on spanning trees.
 The tour is a (vertex, edge) state machine: walk tree edges, cut non-tree
 edges, always continuing with the rotation successor.  One generator,
 ``_walk``, runs it on the graph's own tables (``G.ends`` and the rotation
-successors) and drives the forward map: ``bernardi_tour`` records its steps,
-and ``bernardi_beta`` counts first cuts from it without building a tour.  The
-two inverse reconstructions replay the same state machine on G minus the set
-of edges cut so far, in the rotation G induces there, deciding walk vs cut by
-whether the divisor left is a break divisor of that minor, which one
-orientation of its edges decides.
+successors) and drives the forward map: ``bernardi_beta`` counts first cuts
+from it and the suite's ``tour-structure`` check reads its steps, neither
+building a tour; ``bernardi_tour`` records them as a ``Tour`` only for the
+``tour`` and ``export-dot`` commands.  The two inverse reconstructions replay
+the same state machine on G minus the set of edges cut so far, in the
+rotation G induces there, deciding walk vs cut by whether the divisor left is
+a break divisor of that minor, which one orientation of its edges decides.
 
 Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
 spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached; the walk
-runs again on each beta miss and each ``bernardi_tour`` call.
+runs again on each beta miss, each ``tour-structure`` read and each
+``bernardi_tour`` call.
 """
 
 from __future__ import annotations

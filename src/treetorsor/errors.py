@@ -39,6 +39,10 @@ class NotIncident(TorsorError):
     """The given edge is not incident to the given vertex."""
 
 
+class UnknownEdge(TorsorError):
+    """An edge argument names no edge of the graph."""
+
+
 class NotSpanningTree(TorsorError):
     """The edge set handed in as a tree is not a spanning tree of the graph."""
 

@@ -30,7 +30,9 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EdgeInTree, MissingVertex, NotSpanningTree, ParseError, ValidationError
+from .errors import (
+    EdgeInTree, MissingVertex, NotIncident, NotSpanningTree, ParseError, UnknownEdge, ValidationError,
+)
 
 
 class Dart(NamedTuple):
@@ -185,12 +187,15 @@ class RibbonGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def other_end(self, edge: str, v: str) -> str:
-        a, b = self.ends[edge]
+        try:
+            a, b = self.ends[edge]
+        except KeyError:
+            raise UnknownEdge(f"unknown edge {edge!r}") from None
         if v == a:
             return b
         if v == b:
             return a
-        raise KeyError(f"{v!r} is not an endpoint of {edge!r}")
+        raise NotIncident(f"edge {edge!r} is not incident to vertex {v!r}")
 
     def next_edge(self, v: str, e: str) -> str:
         """Rotation successor of ``e`` at ``v``."""
@@ -399,6 +404,8 @@ def fundamental_cycle(G: RibbonGraph, T: frozenset, e: str) -> tuple[Dart, ...]:
     The first dart leaves the first endpoint of ``e`` in file order; the rest
     of the cycle runs through ``T``.
     """
+    if e not in G.ends:
+        raise UnknownEdge(f"unknown edge {e!r}")
     if e in _shared_tree(G, T):
         raise EdgeInTree(f"edge {e!r} belongs to the spanning tree")
     tail, head = G.ends[e]

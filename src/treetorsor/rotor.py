@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Mapping
 
 from . import divisors as dv
-from .errors import ChipAtSink, NotACycle
+from .errors import ChipAtSink, NotACycle, NotIncident, TorsorError
 from .ribbon import Dart, RibbonGraph, _shared_tree, known_vertex, reach, rotation_free
 
 
@@ -43,7 +43,10 @@ def rotor_step(G: RibbonGraph, rotor: Mapping[str, str], chip: str) -> tuple[dic
     """Advance the rotor at the chip and move the chip; pure."""
     if chip not in rotor:
         raise ChipAtSink(f"chip is at the sink vertex {chip!r}")
-    new_edge = G._succ[chip, rotor[chip]]
+    try:
+        new_edge = G._succ[chip, rotor[chip]]
+    except KeyError:
+        raise NotIncident(f"rotor edge {rotor[chip]!r} is not incident to vertex {chip!r}") from None
     nxt = dict(rotor)
     nxt[chip] = new_edge
     a, b = G.ends[new_edge]
@@ -130,8 +133,6 @@ def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
 def _unicycle_rotor(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs") -> dict:
     """Rotors along ``C``, every other vertex pointing at the cycle through a
     breadth-first ("bfs") or depth-first ("dfs") search from it, file-order ties."""
-    if orientation not in ("bfs", "dfs"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     rotor = {d.tail: d.edge for d in C}
     tails = [v for v in G.vertices if v in rotor]
     for w, e in reach(G, tails, lifo=orientation == "dfs").items():
@@ -149,6 +150,8 @@ def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = 
     the cycle ("bfs" or "dfs", file-order ties); the verdict is independent
     of that choice, which the suite spot-checks.
     """
+    if orientation not in ("bfs", "dfs"):
+        raise TorsorError(f"unknown orientation {orientation!r}")
     C = tuple(C)
     _validate_cycle(G, C)
     rotor = _unicycle_rotor(G, C, orientation)

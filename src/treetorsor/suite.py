@@ -26,8 +26,8 @@ from .bernardi import (
     _cut_ends,
     _first_arc,
     _shift_sides,
+    _walk,
     bernardi_beta,
-    bernardi_tour,
 )
 from .corpus import rotation_cycles
 from .errors import HasBridge, NotPlanar, NotSimple
@@ -255,17 +255,17 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             seqs = []
             for v in G.vertices:
                 for e in G.incident[v]:
-                    steps = bernardi_tour(G, v, e, T).steps
+                    steps = list(_walk(G, v, e, T))  # (vertex, edge, walked): no Tour is built
                     if len(steps) != 2 * len(G.edges):
                         fail({"vertex": v, "edge": e, "tree": sorted(T)})
                     cut_at: dict[str, list[str]] = {}
-                    for s in steps:
-                        if s.action == "cut":
-                            cut_at.setdefault(s.edge, []).append(s.at_vertex)
+                    for u, f, walked in steps:
+                        if not walked:
+                            cut_at.setdefault(f, []).append(u)
                     for f in G.edge_ids:
                         if f not in T and sorted(cut_at.get(f, ())) != sorted(G.ends[f]):
                             fail({"edge": f, "tree": sorted(T)})
-                    seqs.append(list(steps))
+                    seqs.append(steps)
             base = seqs[0] + seqs[0]
             for seq in seqs[1:]:
                 n = len(seq)  # a tour visits each dart once: only offsets holding seq[0] can match
@@ -318,15 +318,19 @@ def _check_torsor_axioms(
         for u, g in dv._generator_keys(G, v):
             for c in group.elements:
                 combined = table[group.add(g, c)]
+                # rows are built in trees order, so one comparison settles the row;
+                # .get: an image that is not a tree is in no row, so it fails
+                if list(combined.values()) == list(map(table[g].get, table[c].values())):
+                    continue
                 for T in trees:
-                    # .get: an image that is not a tree is in no row, so it fails
                     if combined[T] != table[g].get(table[c][T]):
                         fail({"axiom": "additivity", "gamma1": {u: 1, v: -1},
                               "gamma2": dv.tuple_to_divisor(G, c), "tree": sorted(T)})
 
-        for T in trees:
-            image = {row[T] for row in table.values()}
-            if len(image) != group.order or image != set(trees):
+        tree_set = set(trees)
+        for T, images in zip(trees, zip(*(row.values() for row in table.values()))):
+            image = set(images)
+            if len(image) != group.order or image != tree_set:
                 fail({"axiom": "transitivity", "tree": sorted(T)})
 
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
-from treetorsor.errors import ChipAtSink, NotACycle
-from treetorsor.ribbon import Dart, is_spanning_tree, spanning_trees, trace_faces, tree_path
+from treetorsor.errors import ChipAtSink, NotACycle, NotIncident, TorsorError, UnknownEdge
+from treetorsor.ribbon import (
+    Dart, fundamental_cycle, is_spanning_tree, spanning_trees, trace_faces, tree_path,
+)
 
 
 def random_graph(seed):
@@ -65,6 +67,27 @@ def test_rotor_step():
     assert chip == "3"
     with pytest.raises(ChipAtSink):
         rt.rotor_step(G, rotor, "1")
+
+
+# (call on K3, error, the bad value its message names); each is checked at entry
+BAD_EDGE_ARGUMENTS = [
+    pytest.param(lambda G: fundamental_cycle(G, spanning_trees(G)[0], "zz"), UnknownEdge, "'zz'",
+                 id="fundamental_cycle-unknown-edge"),
+    pytest.param(lambda G: G.other_end("zz", "1"), UnknownEdge, "'zz'", id="other_end-unknown-edge"),
+    pytest.param(lambda G: G.other_end("a", "zz"), NotIncident, "'zz'", id="other_end-not-an-end"),
+    pytest.param(lambda G: rt.rotor_step(G, {"2": "zz"}, "2"), NotIncident, "'zz'",
+                 id="rotor_step-non-incident-rotor"),
+    pytest.param(lambda G: rt.cycle_is_reversible(G, rt.simple_cycles(G)[0], "xx"), TorsorError, "'xx'",
+                 id="cycle_is_reversible-unknown-orientation"),
+]
+
+
+@pytest.mark.parametrize("call, error, bad", BAD_EDGE_ARGUMENTS)
+def test_bad_edge_argument_is_one_typed_line(call, error, bad):
+    with pytest.raises(error) as info:
+        call(corpus.k3())
+    message = str(info.value)
+    assert bad in message and "\n" not in message
 
 
 def test_rotor_move_k3_frozen():

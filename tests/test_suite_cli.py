@@ -2,12 +2,13 @@
 
 import argparse
 import copy
+import gc
 import hashlib
 import io
 import json
 import random
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -159,6 +160,24 @@ def _twisted(G):
     return act
 
 
+def _wrong_in_two_rows(G):
+    """The rotor action, except at the first and last classes that are neither
+    zero nor a generator (the same class if there is one such): the last swaps
+    the images of the first two trees, and the first fixes the last tree."""
+    trees, group = spanning_trees(G), picard_group(G)
+    gens = {g for _, g in divisors._generator_keys(G, G.vertices[0])}
+    first, *_, last = [c for c in group.elements if c != group.zero and c not in gens] * 2
+
+    def act(G, v, c, T):
+        if c == last and T in trees[:2]:
+            T = trees[1] if T == trees[0] else trees[0]
+        elif c == first and T == trees[-1]:
+            return T  # c is not zero, so c.T != T
+        return rotor._act(G, v, c, T)
+
+    return act
+
+
 def test_torsor_battery_failure_witnesses():
     # the last failing witness in loop order; a non-tree image fails, never raises
     expected = {
@@ -170,6 +189,7 @@ def test_torsor_battery_failure_witnesses():
             "gamma2": {"1": 0, "2": 0, "3": 0, "4": 0},
             "tree": ["e14", "e24", "e34"],
         },
+        ("k4", "two-rows"): {"axiom": "transitivity", "tree": ["e14", "e24", "e34"]},
         ("theta", "constant"): {"axiom": "transitivity", "tree": ["r"]},
         ("theta", "empty"): {"axiom": "transitivity", "tree": ["r"]},
         ("theta", "twisted"): {
@@ -178,18 +198,53 @@ def test_torsor_battery_failure_witnesses():
             "gamma2": {"u": 0, "v": 0},
             "tree": ["r"],
         },
+        ("theta", "two-rows"): {"axiom": "transitivity", "tree": ["r"]},
     }
     for name, G in TORSOR_GRAPHS[:2]:
         actions = {
             "constant": lambda G, v, c, T: T,
             "empty": lambda G, v, c, T: frozenset(),
             "twisted": _twisted(G),
+            "two-rows": _wrong_in_two_rows(G),
         }
         for kind, act in actions.items():
             record = _torsor_record(G, act)
             assert not record.ok
             assert record.witness == expected[name, kind], (name, kind)
             assert record.params == {"vertex": G.vertices[0]}
+
+
+class _EveryWitness(suite.SuiteReport):
+    """A report that also keeps every witness passed to ``fail``, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.witnesses = []
+
+    @contextmanager
+    def check(self, *args):
+        with super().check(*args) as fail:
+            yield lambda witness=None: (self.witnesses.append(witness), fail(witness))
+
+
+def test_torsor_battery_row_comparison_keeps_every_witness():
+    # a row that compares unequal goes through the per-tree loop: the same
+    # witnesses, in the same order, as comparing every (g, c, T) one by one
+    report = _EveryWitness()
+    suite._check_torsor_axioms(report, "g", corpus.theta(), "torsor", _wrong_in_two_rows(corpus.theta()))
+    g1 = {"v": 1, "u": -1}
+    assert report.witnesses == [
+        *({"axiom": "additivity", "gamma1": g1, "gamma2": g2, "tree": [t]}
+          for g2 in ({"u": -2, "v": 2}, {"u": -1, "v": 1}) for t in "pqr"),
+        *({"axiom": "transitivity", "tree": [t]} for t in "pqr"),
+    ]
+    G = corpus.k4()
+    report = _EveryWitness()
+    suite._check_torsor_axioms(report, "g", G, "torsor", _wrong_in_two_rows(G))
+    assert [w["axiom"] for w in report.witnesses] == ["additivity"] * 18 + ["transitivity"] * 3
+    assert _sha256(json.dumps(report.witnesses, sort_keys=True)) == (
+        "bffae3d42314c37f1ed3c2fb4f62af0bdb723533d6e39372421130b704084a09"
+    )
 
 
 def _battery_record(G, check, battery=None):
@@ -273,23 +328,21 @@ def test_group_axioms_add_each_pair_once(G, monkeypatch):
 
 
 def _reversed_last(G, v, e, T):
-    """The tour from the last vertex's last edge, run backwards: no rotation."""
-    tour = bernardi.bernardi_tour(G, v, e, T)
+    """The walk from the last vertex's last edge, run backwards: no rotation."""
+    steps = list(bernardi._walk(G, v, e, T))
     if (v, e) == (G.vertices[-1], G.incident[G.vertices[-1]][-1]):
-        return Tour(tour.initial, tour.steps[::-1], tour.eta)
-    return tour
+        return iter(steps[::-1])
+    return iter(steps)
 
 
 def _missing_cut(G, v, e, T):
-    """Every tour without the cut of the first edge at its first end."""
-    tour = bernardi.bernardi_tour(G, v, e, T)
+    """Every walk without the cut of the first edge at its first end."""
     f = G.edge_ids[0]
-    steps = tuple(s for s in tour.steps if (s.edge, s.at_vertex, s.action) != (f, G.ends[f][0], "cut"))
-    return Tour(tour.initial, steps, tour.eta)
+    return (s for s in bernardi._walk(G, v, e, T) if s != (G.ends[f][0], f, False))
 
 
 def _empty(G, v, e, T):
-    return Tour((v, e), (), {})
+    return iter(())
 
 
 def test_tour_structure_failure_witnesses(monkeypatch):
@@ -303,10 +356,24 @@ def test_tour_structure_failure_witnesses(monkeypatch):
     }
     for (name, G), tour in product(TORSOR_GRAPHS[:2], (_reversed_last, _missing_cut, _empty)):
         with monkeypatch.context() as patch:
-            patch.setattr(suite, "bernardi_tour", tour)
+            patch.setattr(suite, "_walk", tour)
             record = _battery_record(G, "tour-structure")
         assert not record.ok
         assert record.witness == expected[name, tour], (name, tour.__name__)
+
+
+def test_no_battery_builds_a_tour(monkeypatch):
+    # the batteries read bernardi._walk; Tour serves the tour and export-dot commands
+    def refuse(*args, **kwargs):
+        raise AssertionError("a battery built a tour")
+
+    monkeypatch.setattr(bernardi, "bernardi_tour", refuse)
+    monkeypatch.setattr(bernardi, "Tour", refuse)
+    clear_caches()
+    for _ in ("cold", "warm"):
+        assert suite.run_theorem_suite([("k4", corpus.k4())]).ok
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, Tour)]
 
 
 # -- failure witnesses of the looping checks -----------------------------------
