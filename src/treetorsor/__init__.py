@@ -67,10 +67,10 @@ from .suite import (
 
 def clear_caches() -> None:
     """Empty every module-level cache of the package: the ``lru_cache`` and
-    ``rotation_free`` caches, the CLI's parsers among them.  The next call
-    then computes from scratch, as in a new process.  The graph intern table
-    holds no strong references and is left alone, so a graph still referenced
-    before the reset is the one an equal constructor call returns after it."""
+    ``rotation_free`` caches.  The next call then computes from scratch, as in
+    a new process.  The graph intern table holds no strong references and is
+    left alone, so a graph still referenced before the reset is the one an
+    equal constructor call returns after it."""
     prefix = __name__ + "."
     for name, module in list(sys.modules.items()):
         if name.startswith(prefix):

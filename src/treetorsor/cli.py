@@ -5,24 +5,22 @@ Trees are passed as comma-separated edge ids, divisors and classes as inline
 divisor JSON, directed cycles as comma-separated ``edge:tail`` darts.
 
 Each command is one entry of ``COMMANDS``: its name, help, handler and the
-options it reads, in reading order.  ``OPTIONS`` names the reader of each
-option.  ``main`` checks the inputs in one fixed order: the graph file first,
-then the options in ``OPTIONS`` order, then the command's own preconditions
-(planarity, say) inside the library call.  The first bad input is the one
-reported, as one ``error:`` line.
+options it reads, in reading order.  ``OPTIONS`` names the reader and help of
+each argument.  ``main`` reads ``argv`` against these two tables, then checks
+the graph file, then the options in ``OPTIONS`` order, then the command's own
+preconditions (planarity, say) inside the library call.  The first bad input
+is the one reported, as one ``error:`` line.
 
-``main`` builds the parser of the command named by its first argument only,
-and every command's parser when that word names none (no arguments,
-``--help``, an unknown command); each is built once per import.
+A value option is ``--opt value`` or ``--opt=value``, the token after
+``--opt`` taken verbatim.  Names are written in full; an unlisted, repeated or
+missing option is an error, and ``-h``/``--help`` prints the tables' usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import bernardi as bn
@@ -32,14 +30,18 @@ from . import duality as du
 from . import ribbon as rb
 from . import rotor as rt
 from . import suite as sw
-from .errors import TorsorError
+from .errors import ParseError, TorsorError
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
 def _load_graph(path: str) -> rb.RibbonGraph:
     with open(path, encoding="utf-8") as fh:
-        return rb.parse_ribbon_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph file is not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    return rb.parse_ribbon_graph(text)
 
 
 def _parse_tree(G: rb.RibbonGraph, text: str) -> frozenset:
@@ -95,46 +97,10 @@ def _cmd_break_divisors(G) -> None:
         print(_json(bd.divisor) + " witness " + _fmt_tree(bd.witness_tree))
 
 
-def _cmd_tour(G, v, e, T) -> None:
-    print(bn.bernardi_tour(G, v, e, T).dump())
-
-
-def _cmd_beta(G, v, e, T) -> None:
-    print(_json(bn.bernardi_beta(G, v, e, T).divisor))
-
-
-def _cmd_alpha_r(G, v, e, D) -> None:
-    print(_fmt_tree(bn.alpha_right(G, v, e, D)))
-
-
-def _cmd_alpha_l(G, v, e, D) -> None:
-    print(_fmt_tree(bn.alpha_left(G, v, e, D)))
-
-
-def _cmd_act_bernardi(G, v, gamma, T) -> None:
-    print(_fmt_tree(bn.bernardi_act(G, v, gamma, T)))
-
-
-def _cmd_act_rotor(G, v, gamma, T) -> None:
-    print(_fmt_tree(rt.rotor_act(G, v, gamma, T)))
-
-
-def _cmd_rotor_move(G, source, root, T) -> None:
-    print(_fmt_tree(rt.rotor_move(G, T, source, root)))
-
-
-def _cmd_reversible(G, C) -> int:
-    return _verdict(rt.cycle_is_reversible(G, C), "reversible", "not-reversible")
-
-
 def _cmd_dual(G) -> None:
     print(du.dual_graph(G).dual.to_json())
     for e in G.edge_ids:
         print(f"map {e} {e}")
-
-
-def _cmd_dual_class(G, gamma) -> None:
-    print(_json(du.psi_class(du.dual_graph(G), gamma)))
 
 
 def _cmd_check_square(G, v, gamma, T) -> int:
@@ -146,28 +112,19 @@ def _equal_or_witness(same: bool, witness) -> int:
     return _verdict(same, "equal", "different " + _json(witness))
 
 
-def _cmd_compare_vertices(G, v, w) -> int:
-    return _equal_or_witness(*sw.compare_bernardi_vertices(G, v, w))
-
-
-def _cmd_compare_torsors(G, v) -> int:
-    return _equal_or_witness(*sw.compare_torsors(G, v))
-
-
 def _cmd_suite(corpus_dir: str, mirror_dual: bool) -> int:
-    corpus = []
     try:
-        names = sorted(os.listdir(corpus_dir))
+        names = [name for name in sorted(os.listdir(corpus_dir)) if name.endswith(".json")]
     except OSError as exc:
         raise TorsorError(f"cannot read corpus directory: {exc}") from exc
+    if not names:
+        raise TorsorError(f"no graph file (*.json) in corpus directory {corpus_dir!r}")
+    corpus = []
     for name in names:
-        if not name.endswith(".json"):
-            continue
         try:
-            G = _load_graph(os.path.join(corpus_dir, name))
-        except TorsorError as exc:
+            corpus.append((name[: -len(".json")], _load_graph(os.path.join(corpus_dir, name))))
+        except (TorsorError, OSError) as exc:
             raise TorsorError(f"{name}: {exc}") from exc
-        corpus.append((name[: -len(".json")], G))
     report = sw.run_theorem_suite(corpus, mirror_dual=mirror_dual)
     print(report.dump())
     return PASS if report.ok else FAIL
@@ -202,25 +159,26 @@ def _cmd_export_dot(G, v, e, T) -> None:
 
 class Option(NamedTuple):
     read: Callable | None  # checks the text against the graph; None passes the text on
-    arguments: dict  # argparse keywords
+    help: str = ""
+    flag: bool = False  # takes no value: True when given, else False
 
 
-_VALUE = {"required": True}
 _MIRROR = "debug: flip the dual-graph convention to show the square failing"
 
-# every option, in the one order main reads them
+# every argument, in the one order main reads them
 OPTIONS = {
-    "corpus_dir": Option(None, {}),
-    "--mirror-dual": Option(None, {"action": "store_true", "help": _MIRROR}),
-    "--vertex": Option(rb.known_vertex, _VALUE),
-    "--other": Option(rb.known_vertex, _VALUE),
-    "--from": Option(rb.known_vertex, _VALUE),
-    "--root": Option(rb.known_vertex, _VALUE),
-    "--edge": Option(None, _VALUE),
-    "--divisor": Option(dv.parse_divisor, dict(_VALUE, help="divisor JSON")),
-    "--class": Option(dv.parse_divisor, dict(_VALUE, help="degree-0 divisor JSON")),
-    "--tree": Option(_parse_tree, dict(_VALUE, help="comma-separated edge ids")),
-    "--cycle": Option(_parse_cycle, dict(_VALUE, help="comma-separated edge:tail darts")),
+    "file": Option(None, "graph file (JSON)"),
+    "corpus_dir": Option(None, "directory of graph files (JSON)"),
+    "--mirror-dual": Option(None, _MIRROR, flag=True),
+    "--vertex": Option(rb.known_vertex),
+    "--other": Option(rb.known_vertex),
+    "--from": Option(rb.known_vertex),
+    "--root": Option(rb.known_vertex),
+    "--edge": Option(None),
+    "--divisor": Option(dv.parse_divisor, "divisor JSON"),
+    "--class": Option(dv.parse_divisor, "degree-0 divisor JSON"),
+    "--tree": Option(_parse_tree, "comma-separated edge ids"),
+    "--cycle": Option(_parse_cycle, "comma-separated edge:tail darts"),
 }
 
 
@@ -233,6 +191,11 @@ class Command(NamedTuple):
     options: tuple[str, ...] = ()
     graph: bool = True  # the positional argument is a graph file
 
+    @property
+    def arguments(self) -> tuple[str, ...]:
+        """The positional (graph file or corpus directory), then the options."""
+        return ("file",) * self.graph + self.options
+
 
 _TOUR = ("--vertex", "--edge", "--tree")
 _ALPHA = ("--vertex", "--edge", "--divisor")
@@ -242,23 +205,33 @@ COMMANDS = (
     Command("info", "vertex/edge counts, genus, faces", _cmd_info),
     Command("trees", "list all spanning trees", _cmd_trees),
     Command("break-divisors", "list all break divisors", _cmd_break_divisors),
-    Command("tour", "dump the tour of a spanning tree", _cmd_tour, _TOUR),
-    Command("beta", "break divisor of a spanning tree", _cmd_beta, _TOUR),
-    Command("alpha-r", "spanning tree of a break divisor (right inverse)", _cmd_alpha_r, _ALPHA),
-    Command("alpha-l", "spanning tree of a break divisor (left inverse)", _cmd_alpha_l, _ALPHA),
-    Command("act-bernardi", "apply the tree action via tours", _cmd_act_bernardi, _ACTION),
-    Command("act-rotor", "apply the tree action via rotor-routing", _cmd_act_rotor, _ACTION),
-    Command("rotor-move", "single-chip rotor-routing tree move", _cmd_rotor_move,
+    Command("tour", "dump the tour of a spanning tree",
+            lambda *args: print(bn.bernardi_tour(*args).dump()), _TOUR),
+    Command("beta", "break divisor of a spanning tree",
+            lambda *args: print(_json(bn.bernardi_beta(*args).divisor)), _TOUR),
+    Command("alpha-r", "spanning tree of a break divisor (right inverse)",
+            lambda *args: print(_fmt_tree(bn.alpha_right(*args))), _ALPHA),
+    Command("alpha-l", "spanning tree of a break divisor (left inverse)",
+            lambda *args: print(_fmt_tree(bn.alpha_left(*args))), _ALPHA),
+    Command("act-bernardi", "apply the tree action via tours",
+            lambda *args: print(_fmt_tree(bn.bernardi_act(*args))), _ACTION),
+    Command("act-rotor", "apply the tree action via rotor-routing",
+            lambda *args: print(_fmt_tree(rt.rotor_act(*args))), _ACTION),
+    Command("rotor-move", "single-chip rotor-routing tree move",
+            lambda G, source, root, T: print(_fmt_tree(rt.rotor_move(G, T, source, root))),
             ("--from", "--root", "--tree")),
-    Command("reversible", "test reversibility of a directed cycle", _cmd_reversible,
+    Command("reversible", "test reversibility of a directed cycle",
+            lambda *args: _verdict(rt.cycle_is_reversible(*args), "reversible", "not-reversible"),
             ("--cycle",)),
     Command("dual", "emit the dual graph and the edge map", _cmd_dual),
-    Command("dual-class", "push a degree-0 class to the dual", _cmd_dual_class, ("--class",)),
+    Command("dual-class", "push a degree-0 class to the dual",
+            lambda G, gamma: print(_json(du.psi_class(du.dual_graph(G), gamma))), ("--class",)),
     Command("check-square", "duality/action commuting square", _cmd_check_square, _ACTION),
     Command("compare-vertices", "same tree action from two base vertices?",
-            _cmd_compare_vertices, ("--vertex", "--other")),
-    Command("compare-torsors", "tour action vs rotor action at a vertex", _cmd_compare_torsors,
-            ("--vertex",)),
+            lambda *args: _equal_or_witness(*sw.compare_bernardi_vertices(*args)),
+            ("--vertex", "--other")),
+    Command("compare-torsors", "tour action vs rotor action at a vertex",
+            lambda *args: _equal_or_witness(*sw.compare_torsors(*args)), ("--vertex",)),
     Command("suite", "run the theorem suite over a corpus directory", _cmd_suite,
             ("corpus_dir", "--mirror-dual"), graph=False),
     Command("search", "rotation-system search over a simple graph", _cmd_search),
@@ -267,49 +240,72 @@ COMMANDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # a usage error is an input error like any other: one line, exit 2
-        raise TorsorError(message)
+_HELP = ("-h", "--help")
 
 
-def build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """The parser of command ``name`` alone, or of every command when ``name``
-    names none (no arguments, ``--help`` or an unknown word)."""
-    parser = _Parser(
-        prog="treetorsor",
-        description="divisor theory and spanning-tree torsors on ribbon graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in [cmd for cmd in COMMANDS if cmd.name == name] or COMMANDS:
-        p = sub.add_parser(cmd.name, help=cmd.help)
-        p.set_defaults(cmd=cmd)
-        if cmd.graph:
-            p.add_argument("file", help="graph file (JSON)")
-        for option in cmd.options:
-            p.add_argument(option, **OPTIONS[option].arguments)
-    return parser
+def _read_argv(cmd: Command, argv: list[str]) -> dict[str, str | bool] | None:
+    """The text of each argument of ``cmd`` in ``argv`` by name (presence for a
+    flag), or None if ``argv`` asks for help.  The first usage error is raised
+    after the last token, so a help request anywhere wins."""
+    names = cmd.arguments
+    free = [name for name in names if not name.startswith("-")]  # the one positional
+    texts, errors, tokens = {}, [], iter(argv)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if token.startswith("-"):
+            name, eq, value = token.partition("=")
+        else:  # like --name=value: a second positional is unrecognized
+            name, eq, value = free.pop() if free else token, "=", token
+        option = OPTIONS[name] if name in names else None
+        if option and not option.flag and not eq:
+            value = next(tokens, None)
+        error = (f"unrecognized argument {name!r}" if option is None
+                 else f"{name} takes no value" if option.flag and eq
+                 else f"{name} needs a value" if value is None
+                 else f"{name} given twice" if name in texts else None)
+        if error:
+            errors.append(error)
+        else:
+            texts[name] = value
+    errors += [f"missing argument {name}" for name in names
+               if name not in texts and not OPTIONS[name].flag]
+    if errors:
+        raise TorsorError(errors[0])
+    return {name: name in texts if OPTIONS[name].flag else texts[name] for name in names}
 
 
-@lru_cache(maxsize=None)
-def _parser(name: str | None) -> argparse.ArgumentParser:
-    """One parser per command name, None for every other first word."""
-    return build_parser(name)
-
-
-_NAMES = {cmd.name for cmd in COMMANDS}
+def _usage(cmd: Command | None) -> str:
+    """The usage of ``cmd``, or of every command when None."""
+    if cmd is None:
+        rows = [(c.name, c.help) for c in COMMANDS]
+        head = "COMMAND [ARGUMENTS]\n\ndivisor theory and spanning-tree torsors on ribbon graphs"
+    else:
+        names = cmd.arguments
+        rows = [(name if not name.startswith("-") or OPTIONS[name].flag
+                 else f"{name} {name[2:].upper()}", OPTIONS[name].help) for name in names]
+        args = [f"[{arg}]" if OPTIONS[name].flag else arg for name, (arg, _) in zip(names, rows)]
+        head = " ".join([cmd.name] + args) + "\n\n" + cmd.help
+    width = max(len(arg) for arg, _ in rows)
+    return "\n".join([f"usage: treetorsor {head}", ""]
+                     + [f"  {arg:<{width}}  {text}".rstrip() for arg, text in rows])
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv and argv[0] in _NAMES else None
+    cmd = next((cmd for cmd in COMMANDS if [cmd.name] == argv[:1]), None)
     try:
-        args = _parser(name).parse_args(argv)
-        cmd = args.cmd
-        G = _load_graph(args.file) if cmd.graph else None
+        texts = _read_argv(cmd, argv[1:]) if cmd else None
+        if texts is None and (cmd or any(token in _HELP for token in argv)):
+            print(_usage(cmd))
+            return PASS
+        if texts is None:
+            word = f"unknown command {argv[0]!r}" if argv else "no command given"
+            raise TorsorError(f"{word}; choose from {', '.join(c.name for c in COMMANDS)}")
+        G = _load_graph(texts["file"]) if cmd.graph else None
         values = [G] if cmd.graph else []
         for option in cmd.options:
-            read, text = OPTIONS[option].read, getattr(args, option.lstrip("-").replace("-", "_"))
+            read, text = OPTIONS[option].read, texts[option]
             values.append(read(G, text) if read else text)
         return cmd.run(*values) or PASS
     except (TorsorError, OSError) as exc:

@@ -90,10 +90,12 @@ def parse_divisor(G: RibbonGraph, text: str) -> dict[str, int]:
 
 
 def laplacian_of(G: RibbonGraph, f: Mapping[str, int]) -> dict[str, int]:
-    """The Laplacian of the vertex function ``f``, as a degree-0 divisor."""
+    """The Laplacian of the vertex function ``f``, as a degree-0 divisor.
+    ``f`` is checked as a divisor is, and must be defined at every vertex."""
     for v in G.vertices:
         if v not in f:
             raise MissingVertex(f"function is undefined at {v!r}")
+    divisor_to_tuple(G, f)
     out = {v: 0 for v in G.vertices}
     for _, (a, b) in G.edges:
         d = f[a] - f[b]

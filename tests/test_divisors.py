@@ -72,6 +72,15 @@ def test_laplacian_is_degree_zero():
         dv.laplacian_of(G, {"1": 0})
 
 
+def test_laplacian_checks_its_function():
+    G = corpus.k3()
+    with pytest.raises(MissingVertex, match="'zz'"):
+        dv.laplacian_of(G, {"1": 1, "2": 0, "3": 0, "zz": 5})
+    for f in ({"1": True, "2": 0, "3": 0}, {"1": 1, "2": 0.5, "3": 0}):
+        with pytest.raises(ParseError, match="must be an integer"):
+            dv.laplacian_of(G, f)
+
+
 def test_q_reduce_theta_pic_elements():
     # frozen: the three degree-0 classes of the theta graph, q-reduced at u
     G = corpus.theta(planar=True)

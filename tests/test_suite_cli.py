@@ -1,12 +1,14 @@
 """The theorem suite, the conjecture search, and the command-line surface."""
 
-import argparse
 import copy
 import gc
 import hashlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import product
@@ -20,7 +22,7 @@ from treetorsor import (
     bernardi, breakdiv, cli, clear_caches, corpus, divisors, duality, ribbon, rotor, suite,
 )
 from treetorsor.bernardi import Tour, bernardi_act
-from treetorsor.cli import COMMANDS, OPTIONS, build_parser, main
+from treetorsor.cli import COMMANDS, OPTIONS, main
 from treetorsor.divisors import PicardGroup, picard_group
 from treetorsor.errors import NotSimple
 from treetorsor.ribbon import spanning_trees
@@ -878,6 +880,9 @@ def test_cli_input_errors(k3_file, capsys):
         path = Path(k3_file).with_name(f"ends-{name}.json")
         path.write_text(json.dumps(dict(k3, edges=edges)))
         cases.append(["info", str(path)])
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out
+    assert all(cmd.name in usage for cmd in COMMANDS)
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -892,6 +897,20 @@ def test_cli_input_errors(k3_file, capsys):
         bad_dir.mkdir()
         (bad_dir / name).write_text(text)
         named[("suite", str(bad_dir))] = f"error: {name}: {message}"
+    # a graph file that is not UTF-8, alone or in a corpus; a corpus entry that
+    # cannot be read is named; a corpus with no graph file
+    not_utf8 = Path(k3_file).with_name("not-utf8")
+    not_utf8.mkdir()
+    (not_utf8 / "x.json").write_bytes(b"\xff\xfe")
+    named[("info", str(not_utf8 / "x.json"))] = "error: graph file is not UTF-8"
+    named[("suite", str(not_utf8))] = "error: x.json: graph file is not UTF-8"
+    unreadable = Path(k3_file).with_name("unreadable")
+    (unreadable / "sub.json").mkdir(parents=True)
+    named[("suite", str(unreadable))] = "error: sub.json: "
+    empty = Path(k3_file).with_name("empty")
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not a graph")
+    named[("suite", str(empty))] = f"error: no graph file (*.json) in corpus directory {str(empty)!r}"
     # tree ids are read in argument order: the first unknown one is named, a repeat is an error
     beta = ("beta", k3_file, "--vertex", "1", "--edge", "a", "--tree")
     named[beta + ("zz,yy,xx,ww,vv,uu,tt,ss",)] = "error: unknown edge 'zz' in tree argument\n"
@@ -935,45 +954,43 @@ def test_cli_options_are_read_in_one_order():
 
 @pytest.mark.parametrize("cmd", GRAPH_COMMANDS, ids=[cmd.name for cmd in GRAPH_COMMANDS])
 def test_cli_each_bad_option_exits_2(cmd, k3_file, capsys):
-    assert main(_k3_argv(cmd, k3_file)) == 0
-    capsys.readouterr()
-    for option in cmd.options:
-        argv = _k3_argv(cmd, k3_file, bad=option)
+    # the usage names exactly the command's options; -h anywhere prints it
+    assert main([cmd.name, "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", usage)) == set(cmd.options)
+    good = _k3_argv(cmd, k3_file)
+    assert main(good + ["--no-such-option", "-h"]) == 0 and capsys.readouterr().out == usage
+    assert main(good) == 0
+    answer = capsys.readouterr().out
+    # --opt=value reads as --opt value
+    joined = good[:2] + [f"{o}={v}" for o, v in zip(good[2::2], good[3::2])]
+    assert main(joined) == 0 and capsys.readouterr().out == answer, joined
+    # a bad value; the option dropped, repeated or misspelt (an abbreviation);
+    # a second positional
+    wrong = [_k3_argv(cmd, k3_file, bad=option) for option in cmd.options]
+    for i in range(2, len(good), 2):
+        wrong.append(good[:i] + good[i + 2:])
+        wrong.append(good + good[i:i + 2])
+        wrong.append(good[:i] + [good[i][:-1]] + good[i + 1:])
+    wrong.append(good[:2] + [k3_file] + good[2:])
+    for argv in wrong:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_cli_import_leaves_argparse_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, treetorsor.cli; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_cli_first_bad_option_is_reported(k3_file, capsys):
     argv = ["tour", k3_file, "--vertex", "9", "--edge", "a", "--tree", "a,b,c"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: unknown vertex '9'\n"
-
-
-def _subparsers(parser):
-    """The subparsers of ``parser``, by command name."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
-def test_build_parser_builds_only_the_named_command():
-    full = _subparsers(build_parser())
-    assert list(full) == [cmd.name for cmd in COMMANDS]
-    for cmd in COMMANDS:
-        one = _subparsers(build_parser(cmd.name))
-        assert list(one) == [cmd.name]
-        assert one[cmd.name].format_help() == full[cmd.name].format_help()
-    assert build_parser("no-such-command").format_help() == build_parser().format_help()
-
-
-def test_main_keeps_one_parser_per_command(k3_file):
-    clear_caches()
-    assert main(["info", k3_file]) == 0
-    assert cli._parser.cache_info().currsize == 1
-    assert list(_subparsers(cli._parser("info"))) == ["info"]
-    for i in range(10):
-        assert main([f"no-such-command-{i}", k3_file]) == 2
-    assert cli._parser.cache_info().currsize <= 2
 
 
 def _package_caches():
@@ -995,9 +1012,7 @@ def test_clear_caches_empties_every_cache(k3_file):
     assert len(caches) >= 13
     assert {
         id(ribbon._shared_tree), id(bernardi.bernardi_beta), id(divisors._generator_keys),
-        id(cli._parser),
     } <= {id(c) for c in caches}
-    assert cli._parser.cache_info().currsize > 0
     assert any(c.cache_info().currsize for c in caches)
     graph = k4[0][1]
     assert ribbon._GRAPHS[graph._key] is graph
