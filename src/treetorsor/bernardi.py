@@ -16,6 +16,12 @@ Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
 spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached; the walk
 runs again on each beta miss, each ``tour-structure`` read and each
 ``bernardi_tour`` call.
+
+The action of a class c sends T to the tree y with [beta(y)] = [beta(T)] + c.
+beta is a bijection onto the break divisors and a class holds exactly one, so
+a tree already in hand is tested as that image with no inverse: y is it iff
+key(beta(y)) = q-reduce(key(beta(T)) + c), keys q-reduced at the first vertex
+(``_class_keys``).  The torsor comparisons and the duality square test so.
 """
 
 from __future__ import annotations
@@ -165,6 +171,16 @@ def _act(
     target = tuple(map(operator.add, beta.chips, gamma))
     rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
     return _alpha(G, v, e, rep.chips, False)
+
+
+@lru_cache(maxsize=None)
+def _class_keys(G: RibbonGraph, v: str, e: str, T: frozenset) -> tuple[tuple, tuple]:
+    """The q-reduced key of [beta_{(v,e)}(T)], q the first vertex, and the keys
+    of that class plus each generator of ``dv._generator_keys(G, q)``."""
+    q = G.vertices[0]
+    key = dv._q_reduce(G, bernardi_beta(G, v, e, T).chips, q)
+    gens = dv._generator_keys(G, q)
+    return key, tuple(dv._q_reduce(G, tuple(map(operator.add, key, g)), q) for _, g in gens)
 
 
 def bernardi_act(

@@ -7,17 +7,20 @@ convention of ribbon.trace_faces, each face orbit already lists its boundary
 edges in the opposite rotational sense, so the dual rotation is the orbit
 order as-is, and the dart correspondence sends a dart to the dual dart
 leaving the face of its reverse.  The commuting square of the two Bernardi
-actions pins this choice against its mirror image (the mirror fails it).
+actions pins this choice against its mirror image (the mirror fails it).  The
+square runs the primal action only, and tests the dual tree of its image by
+the class rule of ``bernardi._class_keys``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
 from typing import Iterable, Mapping
 
 from . import divisors as dv
-from .bernardi import _act, bernardi_act
+from .bernardi import _class_keys, bernardi_act
 from .errors import HasBridge, NotPlanar
 from .ribbon import Dart, RibbonGraph, _shared_tree, reach, trace_faces
 
@@ -44,13 +47,8 @@ def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
             f"dual is only defined for genus 0, got {decomposition.topological_genus}"
         )
 
-    face_of: dict[Dart, str] = {}
-    face_map: dict[str, tuple[Dart, ...]] = {}
-    for i, face in enumerate(decomposition.faces):
-        fid = f"f{i}"
-        face_map[fid] = face
-        for d in face:
-            face_of[d] = fid
+    face_map = {f"f{i}": face for i, face in enumerate(decomposition.faces)}
+    face_of = {d: fid for fid, face in face_map.items() for d in face}
 
     edges = []
     dart_map: dict[Dart, Dart] = {}
@@ -60,24 +58,14 @@ def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
         if face_of[d1] == face_of[d2]:
             raise HasBridge(f"edge {eid!r} is a bridge; the dual would have a loop")
         edges.append((eid, (face_of[d1], face_of[d2])))
-        if mirror:
-            dart_map[d1] = Dart(eid, face_of[d1])
-            dart_map[d2] = Dart(eid, face_of[d2])
-        else:
-            dart_map[d1] = Dart(eid, face_of[d2])
-            dart_map[d2] = Dart(eid, face_of[d1])
+        # a dart goes to the dual dart leaving the face of its reverse (mirror: its own)
+        near, far = (d1, d2) if mirror else (d2, d1)
+        dart_map[d1], dart_map[d2] = Dart(eid, face_of[near]), Dart(eid, face_of[far])
 
     # dual rotation: the boundary walk order of each face
-    rotation = {
-        fid: [d.edge for d in face] for fid, face in face_map.items()
-    }
+    rotation = {fid: [d.edge for d in face] for fid, face in face_map.items()}
     dual = RibbonGraph(list(face_map), edges, rotation)
-    return DualCorrespondence(
-        primal=G,
-        dual=dual,
-        dart_map=dart_map,
-        face_map=face_map,
-    )
+    return DualCorrespondence(G, dual, dart_map, face_map)
 
 
 def dual_tree(corr: DualCorrespondence, T: frozenset) -> frozenset:
@@ -137,8 +125,10 @@ def psi_class(corr: DualCorrespondence, gamma: Mapping[str, int]) -> dict[str, i
 def duality_square_check(
     corr: DualCorrespondence, v: str, gamma: Mapping[str, int], T: frozenset
 ) -> bool:
-    """Whether acting then dualizing equals dualizing then acting."""
+    """Whether acting then dualizing equals dualizing then acting.  The primal
+    action checks v, the class and T before the class is lifted to a chain."""
     dual, q = corr.dual, corr.dual.vertices[0]
     lhs = dual_tree(corr, bernardi_act(corr.primal, v, gamma, T))
     psi = _psi(corr, _chain_for(corr.primal, gamma))
-    return lhs == _act(dual, q, dual.rotation[q][0], psi, dual_tree(corr, T))
+    keys = partial(_class_keys, dual, q, dual.rotation[q][0])
+    return keys(lhs)[0] == dv._q_reduce(dual, tuple(map(add, keys(dual_tree(corr, T))[0], psi)), q)

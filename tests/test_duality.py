@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from treetorsor import corpus
+from treetorsor import bernardi, corpus
 from treetorsor import divisors as dv
 from treetorsor import duality as du
 from treetorsor.errors import DegreeMismatch, HasBridge, NotPlanar, NotSpanningTree
@@ -133,6 +133,32 @@ def test_square_commutes_everywhere():
             gamma = dv.tuple_to_divisor(G, c)
             for T in spanning_trees(G):
                 assert du.duality_square_check(corr, v, gamma, T)
+
+
+def _square_oracle(corr, v, gamma, T):
+    """duality_square_check through both actions: an inverse on each side."""
+    dual, q = corr.dual, corr.dual.vertices[0]
+    lhs = du.dual_tree(corr, bernardi.bernardi_act(corr.primal, v, gamma, T))
+    psi = du._psi(corr, du._chain_for(corr.primal, gamma))
+    return lhs == bernardi._act(dual, q, dual.rotation[q][0], psi, du.dual_tree(corr, T))
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["dual", "mirror"])
+def test_square_matches_two_inverse_oracle(mirror):
+    verdicts = []
+    for _, G in corpus.default_corpus():
+        try:
+            corr = du.dual_graph(G, mirror=mirror)
+        except (NotPlanar, HasBridge):
+            continue
+        for v in G.vertices:
+            for c in dv.picard_group(G).elements:
+                gamma = dv.tuple_to_divisor(G, c)
+                for T in spanning_trees(G):
+                    verdicts.append(du.duality_square_check(corr, v, gamma, T))
+                    assert verdicts[-1] == _square_oracle(corr, v, gamma, T), (v, gamma, sorted(T))
+    assert len(verdicts) > 1000
+    assert all(verdicts) != mirror
 
 
 def test_mirror_convention_fails_the_square():

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from treetorsor import (
 from treetorsor.bernardi import Tour, bernardi_act
 from treetorsor.cli import COMMANDS, OPTIONS, main
 from treetorsor.divisors import PicardGroup, picard_group
-from treetorsor.errors import NotSimple
+from treetorsor.errors import NotSimple, TorsorError
 from treetorsor.ribbon import spanning_trees
 from treetorsor.rotor import rotor_act
 
@@ -694,15 +695,149 @@ def _compare_vertices_oracle(G, v1, v2):
     return True, None
 
 
+def _assert_comparisons_match_oracle(G):
+    for v in G.vertices:
+        assert suite.compare_torsors(G, v) == _compare_torsors_oracle(G, v), v
+    for v1, v2 in product(G.vertices, repeat=2):
+        assert suite.compare_bernardi_vertices(G, v1, v2) == _compare_vertices_oracle(
+            G, v1, v2
+        ), (v1, v2)
+
+
 def test_comparisons_match_public_action_oracle():
     graphs = [G for _, G in corpus.default_corpus()] + list(corpus.rotation_systems(corpus.k4()))
     for G in graphs:
-        for v in G.vertices:
-            assert suite.compare_torsors(G, v) == _compare_torsors_oracle(G, v), v
+        _assert_comparisons_match_oracle(G)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_comparisons_match_public_action_oracle_random(seed):
+    _assert_comparisons_match_oracle(corpus.random_multigraph(random.Random(seed)))
+
+
+def _refuse(*args):
+    raise AssertionError("a Bernardi inverse ran")
+
+
+def test_compare_torsors_runs_no_bernardi_inverse(monkeypatch):
+    graphs = corpus.default_corpus()
+    expected = [suite.compare_torsors(G, v) for _, G in graphs for v in G.vertices]
+    clear_caches()
+    for module, name in [(bernardi, "_alpha"), (bernardi, "_act"), (suite, "_act")]:
+        monkeypatch.setattr(module, name, _refuse)
+    assert [suite.compare_torsors(G, v) for _, G in graphs for v in G.vertices] == expected
+
+
+def _pairs_visited(G, witness):
+    """The (generator, tree) pairs a comparison tests: all of them, or those
+    up to and including its witness."""
+    trees = [sorted(T) for T in spanning_trees(G)]
+    if witness is None:
+        return (len(G.vertices) - 1) * len(trees)
+    k = G.vertices.index(next(u for u, c in witness["gamma"].items() if c == 1)) - 1
+    return k * len(trees) + trees.index(witness["tree"]) + 1
+
+
+def test_comparisons_reach_alpha_at_most_once_per_pair(monkeypatch):
+    alphas = _recorded(monkeypatch, bernardi, "_alpha")
+    planar = [corpus.k3(), corpus.theta(planar=True), corpus.planar_rotation(corpus.k4())]
+    for G in planar + [corpus.theta(planar=False), corpus.k4()]:
         for v1, v2 in product(G.vertices, repeat=2):
-            assert suite.compare_bernardi_vertices(G, v1, v2) == _compare_vertices_oracle(
-                G, v1, v2
-            ), (v1, v2)
+            clear_caches()
+            alphas.clear()
+            _, witness = suite.compare_bernardi_vertices(G, v1, v2)
+            assert len(alphas) <= _pairs_visited(G, witness), (v1, v2)
+    # the square runs the primal action only
+    for G in planar:
+        corr, v = duality.dual_graph(G), G.vertices[-1]
+        clear_caches()
+        alphas.clear()
+        for c in picard_group(G).elements:
+            for T in spanning_trees(G):
+                before = len(alphas)
+                assert duality.duality_square_check(corr, v, divisors.tuple_to_divisor(G, c), T)
+                assert len(alphas) - before <= 1
+
+
+@pytest.mark.parametrize("k,i", [(0, 0), (1, 7), (2, 15)], ids=["first", "middle", "last"])
+def test_compare_torsors_witness_of_a_moved_rotor_image(k, i, monkeypatch):
+    # a rotor action wrong at one (generator, tree) pair: the oracle's witness, exactly
+    G = corpus.planar_rotation(corpus.k4())
+    trees, real = spanning_trees(G), rotor._act
+    for v in G.vertices:
+        key = divisors._generator_keys(G, v)[k][1]
+        moved = real(G, v, key, trees[i - 1])
+
+        def stand_in(G_, v_, c, T):
+            return moved if (v_, c, T) == (v, key, trees[i]) else real(G_, v_, c, T)
+
+        monkeypatch.setattr(rotor, "_act", stand_in)
+        gamma = {G.vertices[k + 1]: 1, G.vertices[0]: -1}
+        expected = False, {"gamma": gamma, "tree": sorted(trees[i])}
+        assert _compare_torsors_oracle(G, v) == expected
+        assert suite.compare_torsors(G, v) == expected, v
+
+
+def _last_cut_beta(G, v, e, T):
+    """beta, except that each non-tree edge gives its chip to its last cut."""
+    last = {f: u for u, f, walked in bernardi._walk(G, v, e, T) if not walked}
+    chips = [0] * len(G.vertices)
+    for u in last.values():
+        chips[G.vertex_pos(u)] += 1
+    return breakdiv.BreakDivisor(G.skeleton, tuple(chips), T)
+
+
+def test_comparisons_catch_a_beta_counting_last_cuts(monkeypatch):
+    G = corpus.planar_rotation(corpus.k4())
+    corr, classes = duality.dual_graph(G), picard_group(G).elements
+    clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(bernardi, "bernardi_beta", _last_cut_beta)
+        torsors = [suite.compare_torsors(G, v)[0] for v in G.vertices]
+        square = [
+            duality.duality_square_check(corr, G.vertices[0], divisors.tuple_to_divisor(G, c), T)
+            for c in classes for T in spanning_trees(G)
+        ]
+    clear_caches()
+    assert not any(torsors)
+    assert not all(square)
+
+
+def test_changed_comparisons_keep_their_entry_errors():
+    # each bad argument gives the error it gave before the class rule
+    G = corpus.planar_rotation(corpus.k4())
+    corr, T, gamma = duality.dual_graph(G), frozenset({"e12", "e13", "e14"}), {"2": 1, "1": -1}
+    square = partial(duality.duality_square_check, corr)
+    unknown = "MissingVertex", "unknown vertex 'zz'"
+    cases = [
+        (lambda: suite.compare_torsors(G, "zz"), *unknown),
+        (lambda: suite.compare_bernardi_vertices(G, "zz", "1"), *unknown),
+        (lambda: suite.compare_bernardi_vertices(G, "1", "zz"), *unknown),
+        (lambda: square("zz", gamma, T), *unknown),
+        (lambda: square("1", {"zz": 1, "1": -1}, T),
+         "MissingVertex", "divisor mentions unknown vertex 'zz'"),
+        (lambda: square("1", {"2": True, "1": -1}, T),
+         "ParseError", "coefficient of '2' must be an integer"),
+        (lambda: square("1", {"2": 0.5, "1": -0.5}, T),
+         "ParseError", "coefficient of '1' must be an integer"),
+        (lambda: square("1", {"2": 1}, T),
+         "DegreeMismatch", "a class must have degree 0, got degree 1"),
+        (lambda: square("1", gamma, frozenset({"e12", "e13"})),
+         "NotSpanningTree", "['e12', 'e13'] is not a spanning tree"),
+        (lambda: square("1", gamma, frozenset({"e12", "e23", "e13"})),
+         "NotSpanningTree", "['e12', 'e13', 'e23'] is not a spanning tree"),
+        (lambda: square("1", gamma, frozenset({"e12", "e13", "zz"})),
+         "NotSpanningTree", "['e12', 'e13', 'zz'] is not a spanning tree"),
+        # the vertex, then the class, before the tree
+        (lambda: square("zz", {"2": 1}, frozenset()), *unknown),
+        (lambda: square("1", {"2": 1}, frozenset()),
+         "DegreeMismatch", "a class must have degree 0, got degree 1"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(TorsorError) as info:
+            call()
+        assert (type(info.value).__name__, str(info.value)) == (kind, message)
 
 
 def test_search_requires_simple_graph():
