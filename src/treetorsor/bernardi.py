@@ -112,22 +112,20 @@ def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivis
 def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> frozenset:
     """Shared body of the two inverse reconstructions.
 
-    The tour runs on G minus the edges cut so far (``removed``), stepping
-    through the rotation of G and skipping removed edges.  An edge is cut when
-    the divisor with one chip fewer is a break divisor of G minus ``removed``
-    and that edge.  Right inverse: start at (v, e), advance by rotation
-    successors, and take the chip from the near endpoint.  Left inverse: start
-    at the rotation predecessor of e, advance by predecessors, and take the
-    chip from the far endpoint.  Cutting keeps the vertices, so ``dt`` stays
-    indexed by the file order of ``G`` throughout.
+    The tour runs on G minus the edges cut so far (``removed``, a bitmask over
+    ``G._edge_bit``), stepping through the rotation of G and skipping removed
+    edges.  An edge is cut when the divisor with one chip fewer is a break
+    divisor of G minus ``removed`` and that edge.  Right inverse: start at
+    (v, e), advance by rotation successors, and take the chip from the near
+    endpoint.  Left inverse: start at the rotation predecessor of e, advance
+    by predecessors, and take the chip from the far endpoint.  Cutting keeps
+    the vertices, so ``dt`` stays in the file order of G.
     """
-    ends, at, step = G.ends, G._vertex_pos, G._pred if left else G._succ
+    ends, at, bit, step = G.ends, G._vertex_pos, G._edge_bit, G._pred if left else G._succ
     tree: set[str] = set()
-    removed: frozenset = frozenset()
-    cur_v = v
-    cur_e = step[v, e] if left else e
+    removed, cur_v, cur_e = 0, v, step[v, e] if left else e
     budget = 4 * len(ends) + 4
-    while len(tree) + len(removed) != len(ends):
+    while len(tree) + removed.bit_count() != len(ends):
         budget -= 1
         if budget < 0:
             raise NotBreakDivisor("inverse reconstruction failed to terminate")
@@ -136,14 +134,14 @@ def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> f
         i = at[w if left else cur_v]
         if cur_e not in tree and dt[i] > 0:
             trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
-            cut = removed | {cur_e}
+            cut = removed | bit[cur_e]
             if bk._is_break(G, cut, trial):
                 dt, removed = trial, cut
-        if cur_e not in removed:  # not cut, so walked
+        if not removed & bit[cur_e]:  # not cut, so walked
             tree.add(cur_e)
             cur_v = w
         cur_e = step[cur_v, cur_e]
-        while cur_e in removed:
+        while removed & bit[cur_e]:
             cur_e = step[cur_v, cur_e]
     try:
         return _shared_tree(G, frozenset(tree))

@@ -6,11 +6,11 @@ compatibility and membership are decided by orientation in polynomial time:
 D is T-compatible iff the non-tree edges have an orientation with in-degree
 D, and a break divisor iff D + 1 - (q) is the in-degree of an orientation in
 which q reaches every vertex (An, Baker, Kuperberg, Shokrieh).  Membership in
-the minor G - R, given as the pair (G, removed edge set R), orients the edges
-outside R; it is the inner test of the inverse Bernardi algorithms, which
-never build the minor.  The break divisor of a degree-g class is read off
-such an orientation too.  Enumerating every break divisor (one per tree and
-endpoint choice) is the exhaustive oracle that tests compare these with.
+the minor G - R, given as G and the bitmask of R over ``G._edge_bit``, orients
+the edges outside R; it is the inner test of the inverse Bernardi algorithms,
+which never build the minor.  The break divisor of a degree-g class is read
+off such an orientation too.  Enumerating every break divisor (one per tree
+and endpoint choice) is the exhaustive oracle that tests compare these with.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import DegreeMismatch
 from .ribbon import RibbonGraph, is_spanning_tree, reach, rotation_free, spanning_trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BreakDivisor:
     """A break divisor of ``graph``, as coefficients in vertex file order,
     with one spanning tree it breaks."""
@@ -86,14 +86,14 @@ def is_compatible(
 
 
 @rotation_free
-def _is_break(G: RibbonGraph, removed: frozenset, dt: tuple[int, ...]) -> bool:
-    """Whether ``dt`` is a break divisor of G minus the edges ``removed``
-    (False when that minor is disconnected).  Orientations with equal
-    in-degrees differ by reversed directed cycles, so one orientation decides."""
-    if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
+def _is_break(G: RibbonGraph, removed: int, dt: tuple[int, ...]) -> bool:
+    """Whether ``dt`` is a break divisor of G minus the edges set in the
+    bitmask ``removed`` (False when that minor is disconnected).  Orientations
+    with equal in-degrees differ by reversed directed cycles, so one decides."""
+    if sum(dt) != G.genus_comb - removed.bit_count() or any(c < 0 for c in dt):
         return False
     target = dt[:1] + tuple(c + 1 for c in dt[1:])
-    heads = _orient(G, [e for e in G.edge_ids if e not in removed], target)
+    heads = _orient(G, [e for e, b in G._edge_bit.items() if not removed & b], target)
     if heads is None:
         return False
     return len(reach(G, G.vertices[:1], heads, heads=heads)) == len(G.vertices)
@@ -101,7 +101,7 @@ def _is_break(G: RibbonGraph, removed: frozenset, dt: tuple[int, ...]) -> bool:
 
 def is_break_divisor(G: RibbonGraph, D: Mapping[str, int]) -> bool:
     """Whether ``D`` is a T-break divisor for some spanning tree."""
-    return _is_break(G, frozenset(), dv.divisor_to_tuple(G, D))
+    return _is_break(G, 0, dv.divisor_to_tuple(G, D))
 
 
 @rotation_free

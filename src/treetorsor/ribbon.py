@@ -99,6 +99,7 @@ class RibbonGraph:
         "_succ",
         "_pred",
         "_vertex_pos",
+        "_edge_bit",
         "_key",
         "skeleton",
         "__weakref__",
@@ -133,10 +134,11 @@ class RibbonGraph:
         self.ends = {eid: pair for eid, pair in self.edges}
         self.edge_ids = tuple(eid for eid, _ in self.edges)
         self._vertex_pos = {v: i for i, v in enumerate(self.vertices)}
+        self._edge_bit = {eid: 1 << i for i, eid in enumerate(self.edge_ids)}
 
         if len(self._vertex_pos) != len(self.vertices):
             raise ValidationError("duplicate-id", "duplicate vertex identifier")
-        if len(set(self.edge_ids)) != len(self.edge_ids):
+        if len(self._edge_bit) != len(self.edge_ids):
             raise ValidationError("duplicate-id", "duplicate edge identifier")
         for eid, (a, b) in self.edges:
             if a == b:

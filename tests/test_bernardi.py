@@ -25,9 +25,11 @@ from treetorsor.bernardi import (
 from treetorsor.errors import MissingVertex, NotBreakDivisor, NotIncident, NotSpanningTree
 from treetorsor.ribbon import (
     RibbonGraph,
+    _shared_tree,
     fundamental_cycle,
     is_spanning_tree,
     reach,
+    rotation_free,
     spanning_trees,
     tree_path,
 )
@@ -207,6 +209,123 @@ def test_bijectivity_random(seed):
         assert alpha_right(G, v, e, beta.divisor) == T
         assert alpha_left(G, v, e, beta.divisor) == T
     assert images == {bd.chips for bd in bk.enumerate_break_divisors(G)}
+
+
+# -- the inverse against its frozenset form ----------------------------------
+
+
+@rotation_free
+def _is_break_frozenset(G, removed, dt):
+    """``breakdiv._is_break`` with the removed edges as a frozenset: the
+    oracle for the bitmask form."""
+    if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
+        return False
+    target = dt[:1] + tuple(c + 1 for c in dt[1:])
+    heads = bk._orient(G, [e for e in G.edge_ids if e not in removed], target)
+    if heads is None:
+        return False
+    return len(reach(G, G.vertices[:1], heads, heads=heads)) == len(G.vertices)
+
+
+def _alpha_frozenset(G, v, e, dt, left):
+    """``bernardi._alpha`` carrying its cut edges as a frozenset: the oracle
+    for the bitmask form."""
+    ends, at, step = G.ends, G._vertex_pos, G._pred if left else G._succ
+    tree: set[str] = set()
+    removed: frozenset = frozenset()
+    cur_v = v
+    cur_e = step[v, e] if left else e
+    budget = 4 * len(ends) + 4
+    while len(tree) + len(removed) != len(ends):
+        budget -= 1
+        if budget < 0:
+            raise NotBreakDivisor("inverse reconstruction failed to terminate")
+        a, b = ends[cur_e]
+        w = a if cur_v == b else b
+        i = at[w if left else cur_v]
+        if cur_e not in tree and dt[i] > 0:
+            trial = dt[:i] + (dt[i] - 1,) + dt[i + 1 :]
+            cut = removed | {cur_e}
+            if _is_break_frozenset(G, cut, trial):
+                dt, removed = trial, cut
+        if cur_e not in removed:  # not cut, so walked
+            tree.add(cur_e)
+            cur_v = w
+        cur_e = step[cur_v, cur_e]
+        while cur_e in removed:
+            cur_e = step[cur_v, cur_e]
+    try:
+        return _shared_tree(G, frozenset(tree))
+    except NotSpanningTree:
+        raise NotBreakDivisor("input divisor is not a break divisor") from None
+
+
+def _outcome(fn, *args):
+    """The tree ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_tuples(G, rng, count):
+    """``count`` random coefficient tuples of degree g: entries drawn from
+    -2..2, one then moved to reach the degree; mostly not break divisors."""
+    out = []
+    for _ in range(count):
+        dt = [rng.randint(-2, 2) for _ in G.vertices]
+        dt[rng.randrange(len(dt))] += G.genus_comb - sum(dt)
+        out.append(tuple(dt))
+    return out
+
+
+def _assert_alpha_matches_frozenset(G, rng, count):
+    """Every (v, e) in both directions, on beta of every tree and on
+    ``count`` random tuples; returns the error messages seen."""
+    trees = spanning_trees(G)
+    seen = set()
+    for v in G.vertices:
+        for e in G.rotation[v]:
+            inputs = [bernardi_beta(G, v, e, T).chips for T in trees]
+            for dt in inputs + _random_tuples(G, rng, count):
+                for left in (False, True):
+                    got = _outcome(bernardi._alpha.__wrapped__, G, v, e, dt, left)
+                    assert got == _outcome(_alpha_frozenset, G, v, e, dt, left), (v, e, dt, left)
+                    if isinstance(got, tuple):
+                        seen.add(got)
+    return seen
+
+
+def test_alpha_matches_frozenset_form_on_default_corpus():
+    rng = random.Random(24)
+    seen = set()
+    for _, G in corpus.default_corpus():
+        if len(spanning_trees(G)) <= 200:
+            seen |= _assert_alpha_matches_frozenset(G, rng, 4)
+    assert seen == {
+        (NotBreakDivisor, "input divisor is not a break divisor"),
+        (NotBreakDivisor, "inverse reconstruction failed to terminate"),
+    }
+
+
+@given(st.integers(0, 300), st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_alpha_matches_frozenset_form_random(seed, tuples_seed):
+    _assert_alpha_matches_frozenset(random_graph(seed), random.Random(tuples_seed), 4)
+
+
+def test_alpha_keeps_the_cli_error_messages():
+    # the two non-break messages the alpha-r and alpha-l commands print
+    theta = dict(corpus.default_corpus())["theta-rot1"]
+    cases = [
+        (corpus.k3(), "1", "a", (-1, 2, 0), "input divisor is not a break divisor"),
+        (theta, "u", "p", (-1, 3), "inverse reconstruction failed to terminate"),
+    ]
+    for G, v, e, dt, message in cases:
+        for left in (False, True):
+            expected = (NotBreakDivisor, message)
+            assert _outcome(bernardi._alpha.__wrapped__, G, v, e, dt, left) == expected
+            assert _outcome(_alpha_frozenset, G, v, e, dt, left) == expected
 
 
 def test_action_identity_and_transitivity_k3():

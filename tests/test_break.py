@@ -1,6 +1,7 @@
 """Break divisors: compatibility, membership, enumeration, representatives."""
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -131,6 +132,25 @@ def test_representative_matches_oracle_random(seed):
     _assert_representatives_match_oracle(random_graph(seed), random.Random(seed))
 
 
+def test_break_divisor_is_slotted_and_compares_by_value():
+    G = corpus.k4()
+    H = list(corpus.rotation_systems(G))[5]
+    results = bk.enumerate_break_divisors(G)
+    for T in spanning_trees(G):
+        beta = bernardi.bernardi_beta(H, "1", H.rotation["1"][0], T)
+        results += [beta, bk.break_representative(H, beta.divisor)]
+    for bd in results:
+        assert not hasattr(bd, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            bd.chips = ()
+        # equality and hashing are those of the field tuple
+        fields = (bd.graph, bd.chips, bd.witness_tree)
+        assert bd == bk.BreakDivisor(*fields) and hash(bd) == hash(fields)
+        other = next(T for T in spanning_trees(G) if T != bd.witness_tree)
+        assert bd != bk.BreakDivisor(bd.graph, bd.chips, other)
+    assert len(set(results)) == len({(bd.chips, bd.witness_tree) for bd in results})
+
+
 def test_representative_degree_guard():
     G = corpus.k3()
     with pytest.raises(DegreeMismatch):
@@ -175,9 +195,15 @@ def _oracle_is_break(G, removed, dt):
     )
 
 
+def _mask(G, edges):
+    """The edge set ``edges`` as the bitmask ``_is_break`` takes: bit i for
+    the i-th edge of the file."""
+    return sum(1 << G.edge_ids.index(e) for e in set(edges))
+
+
 def _assert_matches_oracle(G, removed):
     for dt in _effective(len(G.vertices), G.genus_comb - len(removed)):
-        assert bk._is_break(G, removed, dt) == _oracle_is_break(G, removed, dt), (
+        assert bk._is_break(G, _mask(G, removed), dt) == _oracle_is_break(G, removed, dt), (
             sorted(removed), dt)
 
 
@@ -217,7 +243,10 @@ def test_is_break_matches_oracle_on_inverse_queries(monkeypatch):
     bernardi._alpha.cache_clear()
     assert len(asked) > 1000
     for G, removed, dt in asked:
-        assert is_break(G, removed, dt) == _oracle_is_break(G, removed, dt)
+        assert type(removed) is int
+        edges = frozenset(e for e in G.edge_ids if removed & _mask(G, {e}))
+        assert _mask(G, edges) == removed
+        assert is_break(G, removed, dt) == _oracle_is_break(G, edges, dt)
 
 
 def _in_degrees(G, heads):
@@ -267,7 +296,8 @@ def test_orient_matches_every_orientation(seed, data):
 
 def _minor(G, removed):
     """G minus the edges ``removed``, built as its own graph with the induced
-    rotation: the reference that ``_is_break(G, removed, ...)`` replaces."""
+    rotation: the reference that ``_is_break(G, _mask(G, removed), ...)``
+    replaces."""
     return RibbonGraph(
         G.vertices,
         [ed for ed in G.edges if ed[0] not in removed],
@@ -293,7 +323,7 @@ def _assert_matches_minor(G, removed):
         H = None
     for dt in _effective(len(G.vertices), G.genus_comb - len(removed)):
         expected = H is not None and _oracle_is_break(H, frozenset(), dt)
-        assert bk._is_break(G, removed, dt) == expected, (sorted(removed), dt)
+        assert bk._is_break(G, _mask(G, removed), dt) == expected, (sorted(removed), dt)
 
 
 def test_is_break_minus_edges_matches_explicit_minor():
@@ -346,7 +376,7 @@ def _rotation_free_queries(H, rng):
         out += [(dv._q_reduce, (beta, rng.choice(H.vertices))),
                 (dv._q_reduce, (shifted, q)),
                 (bk._break_rep, (dv._q_reduce(H, shifted, q),)),
-                (bk._is_break, (frozenset(), shifted)),
+                (bk._is_break, (_mask(H, ()), shifted)),
                 (_shared_tree, (T,)),
                 (rt._tree_rotors, (T, v)),
                 (dv._generator_keys, (v,))]
@@ -354,7 +384,7 @@ def _rotation_free_queries(H, rng):
             if f not in T:
                 i = H.vertex_pos(rng.choice(H.ends[f]))
                 trial = tuple(c - (j == i) for j, c in enumerate(beta))
-                out.append((bk._is_break, (frozenset({f}), trial)))
+                out.append((bk._is_break, (_mask(H, {f}), trial)))
     return out
 
 
