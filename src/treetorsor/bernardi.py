@@ -45,7 +45,6 @@ class TourStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Tour:
-    initial: tuple[str, str]
     steps: tuple[TourStep, ...]
     eta: dict  # non-tree edge -> vertex of its first cut
 
@@ -91,7 +90,7 @@ def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
         steps.append(TourStep(u, f, "walk" if walked else "cut"))
         if not walked:
             eta.setdefault(f, u)
-    return Tour((v, e), tuple(steps), eta)
+    return Tour(tuple(steps), eta)
 
 
 @lru_cache(maxsize=None)

@@ -109,11 +109,12 @@ def planar_rotation(G: RibbonGraph) -> RibbonGraph:
     raise ValueError("underlying graph is not planar")
 
 
-def random_multigraph(rng: random.Random, max_vertices: int = 6, max_edges: int = 10) -> RibbonGraph:
-    """A random connected loopless multigraph with a random rotation system."""
-    n = rng.randint(2, max_vertices)
+def random_multigraph(rng: random.Random) -> RibbonGraph:
+    """A random connected loopless multigraph with 2 to 6 vertices and at most
+    10 edges, with a random rotation system."""
+    n = rng.randint(2, 6)
     verts = [f"v{i}" for i in range(1, n + 1)]
-    m = rng.randint(n - 1, max_edges)
+    m = rng.randint(n - 1, 10)
     edges = []
     # random spanning tree first, then extra non-loop edges
     for i in range(1, n):
@@ -130,8 +131,8 @@ def random_multigraph(rng: random.Random, max_vertices: int = 6, max_edges: int 
     return RibbonGraph(verts, edges, rotation)
 
 
-def default_corpus(seed: int = 2024, random_count: int = 10) -> list[tuple[str, RibbonGraph]]:
-    """The acceptance corpus: named small graphs plus seeded random ones."""
+def default_corpus(seed: int = 2024) -> list[tuple[str, RibbonGraph]]:
+    """The acceptance corpus: named small graphs plus ten seeded random ones."""
     out: list[tuple[str, RibbonGraph]] = [
         ("single-edge", single_edge()),
         ("path3", path3()),
@@ -145,7 +146,7 @@ def default_corpus(seed: int = 2024, random_count: int = 10) -> list[tuple[str, 
     out.append(("k5", k5()))
     out.append(("k33", k33()))
     rng = random.Random(seed)
-    for i in range(random_count):
+    for i in range(10):
         out.append((f"random{i:02d}", random_multigraph(rng)))
     return out
 

@@ -51,21 +51,10 @@ def tuple_to_divisor(G: RibbonGraph, t: tuple[int, ...]) -> dict[str, int]:
     return dict(zip(G.vertices, t))
 
 
-def degree(D: Mapping[str, int]) -> int:
-    return sum(D.values())
-
-
 def add(D1: Mapping[str, int], D2: Mapping[str, int]) -> dict[str, int]:
     out = dict(D1)
     for v, c in D2.items():
         out[v] = out.get(v, 0) + c
-    return out
-
-
-def sub(D1: Mapping[str, int], D2: Mapping[str, int]) -> dict[str, int]:
-    out = dict(D1)
-    for v, c in D2.items():
-        out[v] = out.get(v, 0) - c
     return out
 
 
@@ -263,9 +252,6 @@ class PicardGroup:
 
     def add(self, c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
         return _q_reduce(self.graph, tuple(map(operator.add, c1, c2)), self.q)
-
-    def neg(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        return _q_reduce(self.graph, tuple(-a for a in c), self.q)
 
     def generators(self) -> dict[str, tuple[int, ...]]:
         """Class of (u) - (q) for each vertex u != q."""

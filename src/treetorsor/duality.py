@@ -99,10 +99,6 @@ def _boundary(G: RibbonGraph, chain: Iterable[tuple[Dart, int]]) -> tuple[int, .
     return tuple(out)
 
 
-def boundary(G: RibbonGraph, chain: Mapping[Dart, int]) -> dict[str, int]:
-    return dv.tuple_to_divisor(G, _boundary(G, chain.items()))
-
-
 def _psi(corr: DualCorrespondence, chain: Mapping[Dart, int]) -> tuple[int, ...]:
     """The q-reduced dual class of the boundary of ``chain`` pushed dart by
     dart through the dart correspondence."""

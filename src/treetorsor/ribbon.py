@@ -167,7 +167,7 @@ class RibbonGraph:
                 dart = (v, e)
                 self._succ[dart] = cycle[(i + 1) % k]
                 self._pred[dart] = cycle[(i - 1) % k]
-        if not self.is_connected():
+        if len(reach(self, self.vertices[:1])) != len(self.vertices):
             raise ValidationError("disconnected", "underlying graph is not connected")
 
         _GRAPHS[self._key] = self
@@ -203,10 +203,6 @@ class RibbonGraph:
         """Rotation successor of ``e`` at ``v``."""
         return self._succ[(v, e)]
 
-    def prev_edge(self, v: str, e: str) -> str:
-        """Rotation predecessor of ``e`` at ``v``."""
-        return self._pred[(v, e)]
-
     def darts(self) -> list[Dart]:
         out = []
         for eid, (a, b) in self.edges:
@@ -222,11 +218,6 @@ class RibbonGraph:
 
     def vertex_pos(self, v: str) -> int:
         return self._vertex_pos[v]
-
-    # -- connectivity ------------------------------------------------------
-
-    def is_connected(self) -> bool:
-        return len(reach(self, self.vertices[:1])) == len(self.vertices)
 
     # -- serialization ------------------------------------------------------
 
@@ -247,10 +238,6 @@ class FaceDecomposition:
 
     faces: tuple[tuple[Dart, ...], ...]
     topological_genus: int
-
-    @property
-    def is_planar(self) -> bool:
-        return self.topological_genus == 0
 
 
 def parse_ribbon_graph(text: str) -> RibbonGraph:

@@ -103,7 +103,7 @@ def unicycle_orbit(
     def key(r: Mapping[str, str], c: str) -> tuple[tuple, str]:
         return tuple(sorted(r.items())), c
 
-    states = [key(rotor, chip)]
+    states = [key(rotor, known_vertex(G, chip))]
     darts = []
     r, c = dict(rotor), chip
     for _ in range(2 * len(G.edges)):
@@ -152,8 +152,11 @@ def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = 
     """
     if orientation not in ("bfs", "dfs"):
         raise TorsorError(f"unknown orientation {orientation!r}")
-    C = tuple(C)
-    _validate_cycle(G, C)
+    try:  # each element is read as an (edge, tail) pair of ids
+        C = tuple(Dart(*d) for d in C)
+        _validate_cycle(G, C)
+    except TypeError:
+        raise NotACycle(f"cycle elements must be (edge, tail) pairs of ids: {C!r}") from None
     rotor = _unicycle_rotor(G, C, orientation)
     chip = min((d.tail for d in C), key=G.vertex_pos)
 

@@ -596,9 +596,9 @@ def test_break_representative_grid_10x10():
     G = grid_graph(10, 10)
     rng = random.Random(6)
     D = {v: rng.randint(-2, 2) for v in G.vertices}
-    D["0,0"] += G.genus_comb - dv.degree(D)
+    D["0,0"] += G.genus_comb - sum(D.values())
     rep = bk.break_representative(G, D)
-    assert dv.degree(rep.divisor) == G.genus_comb == 81
+    assert sum(rep.divisor.values()) == G.genus_comb == 81
     assert min(rep.chips) >= 0
     assert dv.are_equivalent(G, D, rep.divisor)
     assert is_spanning_tree(G, rep.witness_tree)

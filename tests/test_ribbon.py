@@ -228,7 +228,7 @@ def test_rotation_successor_cycles():
         for _ in range(len(G.rotation[v])):
             cur = G.next_edge(v, cur)
         assert cur == e
-        assert G.prev_edge(v, G.next_edge(v, e)) == e
+        assert G._pred[v, G.next_edge(v, e)] == e
 
 
 # -- faces and genus ------------------------------------------------------------
@@ -238,8 +238,7 @@ def test_theta_planar_faces():
     # frozen: this rotation embeds theta in the plane with 3 faces
     fd = trace_faces(corpus.theta(planar=True))
     assert len(fd.faces) == 3
-    assert fd.topological_genus == 0
-    assert fd.is_planar
+    assert fd.topological_genus == 0  # planar
 
 
 def test_theta_nonplanar_faces():

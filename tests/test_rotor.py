@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
-from treetorsor.errors import ChipAtSink, NotACycle, NotIncident, TorsorError, UnknownEdge
+from treetorsor.errors import (
+    ChipAtSink, MissingVertex, NotACycle, NotIncident, TorsorError, UnknownEdge,
+)
 from treetorsor.ribbon import (
     Dart, fundamental_cycle, is_spanning_tree, spanning_trees, trace_faces, tree_path,
 )
@@ -79,6 +81,13 @@ BAD_EDGE_ARGUMENTS = [
                  id="rotor_step-non-incident-rotor"),
     pytest.param(lambda G: rt.cycle_is_reversible(G, rt.simple_cycles(G)[0], "xx"), TorsorError, "'xx'",
                  id="cycle_is_reversible-unknown-orientation"),
+    pytest.param(lambda G: rt.unicycle_orbit(G, {"1": "a", "2": "b", "3": "c"}, "zz"), MissingVertex,
+                 "'zz'", id="unicycle_orbit-unknown-chip"),
+    # a plain (edge, tail) pair is read as the equal Dart, so it names the same bad dart
+    pytest.param(lambda G: rt.cycle_is_reversible(G, (("a", "zz"), ("b", "2"), ("c", "3"))), NotACycle,
+                 "a:zz", id="cycle_is_reversible-plain-pair-not-a-dart"),
+    pytest.param(lambda G: rt.cycle_is_reversible(G, (("a", "1", "x"), ("b", "2"), ("c", "3"))),
+                 NotACycle, "('a', '1', 'x')", id="cycle_is_reversible-malformed-element"),
 ]
 
 
@@ -208,3 +217,15 @@ def test_reversibility_orientation_choice_irrelevant():
         assert rt.cycle_is_reversible(G, C, "bfs") == rt.cycle_is_reversible(
             G, C, "dfs"
         )
+
+
+def test_plain_pair_cycles_give_the_dart_verdict():
+    # both orientations of every cycle, on a planar and a non-planar system
+    for G, expected in ((corpus.planar_rotation(corpus.k4()), {True}), (corpus.k4(), {True, False})):
+        verdicts = set()
+        for C in rt.simple_cycles(G):
+            for D in (C, rt.reverse_cycle(G, C)):
+                verdict = rt.cycle_is_reversible(G, D)
+                assert rt.cycle_is_reversible(G, [tuple(d) for d in D]) == verdict
+                verdicts.add(verdict)
+        assert verdicts == expected

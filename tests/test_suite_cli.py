@@ -12,7 +12,7 @@ import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +26,7 @@ from treetorsor.bernardi import Tour, bernardi_act
 from treetorsor.cli import COMMANDS, OPTIONS, main
 from treetorsor.divisors import PicardGroup, picard_group
 from treetorsor.errors import NotSimple, TorsorError
-from treetorsor.ribbon import spanning_trees
+from treetorsor.ribbon import spanning_trees, trace_faces
 from treetorsor.rotor import rotor_act
 
 
@@ -269,7 +269,7 @@ def _left(group, a, b):
 def _negating(group, a, b):
     """Negates every sum of two nonzero classes: commutative, not associative."""
     s = ADD(group, a, b)
-    return s if group.zero in (a, b) else group.neg(s)
+    return s if group.zero in (a, b) else divisors._q_reduce(group.graph, tuple(-c for c in s), group.q)
 
 
 def _pairing(group, a, b):
@@ -838,6 +838,65 @@ def test_changed_comparisons_keep_their_entry_errors():
         with pytest.raises(TorsorError) as info:
             call()
         assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+def _check_comparisons_all_pairs(report, name, G):
+    """The vertex comparisons over every pair in ``combinations`` order: the
+    oracle of the suite's star of pairs from the first vertex."""
+    gtop = trace_faces(G).topological_genus
+    first_witness = None
+    for v1, v2 in combinations(G.vertices, 2):
+        same, witness = suite.compare_bernardi_vertices(G, v1, v2)
+        if not same:
+            first_witness = {"v1": v1, "v2": v2, **(witness or {})}
+            break
+    agree_all = first_witness is None
+    if gtop == 0:
+        report.add("vertex-independence", name, {"genus": 0}, agree_all, first_witness)
+    else:
+        report.add(
+            "vertex-dependence",
+            name,
+            {"genus": gtop},
+            not agree_all,
+            {"note": "no vertex pair distinguishes the actions"} if agree_all else None,
+        )
+    if gtop == 0:
+        with report.check("torsor-agreement", name, {"genus": 0}) as fail:
+            for v in G.vertices:
+                same, w = suite.compare_torsors(G, v)
+                if not same:
+                    fail({"vertex": v, **(w or {})})
+
+
+def _assert_star_matches_all_pairs(G):
+    star, pairs = suite.SuiteReport(), suite.SuiteReport()
+    suite._check_comparisons(star, "g", G)
+    _check_comparisons_all_pairs(pairs, "g", G)
+    assert star.records == pairs.records
+
+
+def test_vertex_star_matches_all_pairs_on_default_corpus():
+    graphs = [G for _, G in corpus.default_corpus()]
+    assert len(graphs) == 36 and max(len(G.vertices) for G in graphs) >= 3
+    for G in graphs:
+        _assert_star_matches_all_pairs(G)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_vertex_star_matches_all_pairs_random(seed):
+    _assert_star_matches_all_pairs(corpus.random_multigraph(random.Random(seed)))
+
+
+def test_vertex_checks_compare_the_first_vertex_with_each_later_one(monkeypatch):
+    calls = _recorded(monkeypatch, suite, "compare_bernardi_vertices")
+    # every pair agrees on a planar K4; on a non-planar one the first pair differs
+    for G, pairs in ((corpus.planar_rotation(corpus.k4()), [("1", "2"), ("1", "3"), ("1", "4")]),
+                     (corpus.k4(), [("1", "2")])):
+        calls.clear()
+        suite._check_comparisons(suite.SuiteReport(), "g", G)
+        assert [args[1:] for args, _ in calls] == pairs
 
 
 def test_search_requires_simple_graph():
