@@ -199,17 +199,6 @@ def bernardi_act(
     return _act(G, v, e, key, T)
 
 
-@dataclass(frozen=True)
-class VertexSplit:
-    """The two rotation arcs at v between e1 and e2, and the vertex sets of
-    the tree components hanging off each arc."""
-
-    arc_first: tuple[str, ...]  # edges from e1 up to (excluding) e2
-    arc_second: tuple[str, ...]  # edges from e2 up to (excluding) e1
-    side_first: frozenset  # vertices attached through arc_first tree edges
-    side_second: frozenset
-
-
 def _arc_labels(G: RibbonGraph, v: str, T: frozenset) -> dict[str, int]:
     """Each vertex of T - v labelled with the rotation index at v of the tree
     edge whose component holds it: one search per tree edge at v."""
@@ -261,17 +250,6 @@ def _shift_sides(
             rhs[near] += 1
             rhs[far] -= 1
     return list(map(operator.sub, b1, b2)), rhs
-
-
-def vertex_split(G: RibbonGraph, v: str, e1: str, e2: str, T: frozenset) -> VertexSplit:
-    _check_incident(G, v, e1)
-    _check_incident(G, v, e2)
-    first = _first_arc(G, v, e1, e2)
-    cycle = G.rotation[v]
-    i, span = cycle.index(e1), first.count(True)
-    turn = cycle[i:] + cycle[:i]  # rotation(v) from e1
-    side = frozenset(w for w, x in _arc_labels(G, v, T).items() if first[x])
-    return VertexSplit(turn[:span], turn[span:], side, frozenset(G.vertices) - side - {v})
 
 
 def shift_difference_check(

@@ -253,10 +253,6 @@ class PicardGroup:
     def add(self, c1: tuple[int, ...], c2: tuple[int, ...]) -> tuple[int, ...]:
         return _q_reduce(self.graph, tuple(map(operator.add, c1, c2)), self.q)
 
-    def generators(self) -> dict[str, tuple[int, ...]]:
-        """Class of (u) - (q) for each vertex u != q."""
-        return dict(_generator_keys(self.graph, self.q))
-
 
 @rotation_free
 def picard_group(G: RibbonGraph) -> PicardGroup:

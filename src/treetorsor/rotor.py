@@ -9,8 +9,9 @@ Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
 spanning tree, ``NotSpanningTree`` for a non-tree), and every vertex argument
 passes ``ribbon.known_vertex``.  The tree rotors do not read the rotation, so
 ``_tree_rotors`` caches them on the underlying graph for every rotation
-system; ``rotor_move`` starts from that dict and ``rotor_step`` copies, so no
-step writes to it, and ``rotors_from_tree`` hands out a copy.
+system, and ``rotors_from_tree`` hands out a copy.  ``rotor_step`` turns the
+rotor it is given in place, so each walk copies its start once and steps
+that copy: ``rotor_move`` the tree rotors, ``unicycle_orbit`` its argument.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 from typing import Mapping
 
 from . import divisors as dv
-from .errors import ChipAtSink, NotACycle, NotIncident, TorsorError
+from .errors import ChipAtSink, MissingVertex, NotACycle, NotIncident, TorsorError
 from .ribbon import Dart, RibbonGraph, _shared_tree, known_vertex, reach, rotation_free
 
 
@@ -39,31 +40,29 @@ def rotors_from_tree(G: RibbonGraph, T: frozenset, root: str) -> dict:
     return dict(_tree_rotors(G, T, known_vertex(G, root)))
 
 
-def rotor_step(G: RibbonGraph, rotor: Mapping[str, str], chip: str) -> tuple[dict, str]:
-    """Advance the rotor at the chip and move the chip; pure."""
+def rotor_step(G: RibbonGraph, rotor: dict[str, str], chip: str) -> str:
+    """Turn the rotor at the chip to its rotation successor, in place, and
+    return the vertex the chip moves to across that edge."""
     if chip not in rotor:
+        known_vertex(G, chip)
         raise ChipAtSink(f"chip is at the sink vertex {chip!r}")
     try:
         new_edge = G._succ[chip, rotor[chip]]
     except KeyError:
         raise NotIncident(f"rotor edge {rotor[chip]!r} is not incident to vertex {chip!r}") from None
-    nxt = dict(rotor)
-    nxt[chip] = new_edge
+    rotor[chip] = new_edge
     a, b = G.ends[new_edge]
-    return nxt, a if chip == b else b
+    return a if chip == b else b
 
 
 @lru_cache(maxsize=None)
 def rotor_move(G: RibbonGraph, T: frozenset, x: str, y: str) -> frozenset:
     """The tree ((x) - (y))_y applied to T: route a chip from x to the sink y."""
-    known_vertex(G, x)
-    known_vertex(G, y)
-    # rotor_step copies, so the shared tree rotors are never written
-    rotor = _tree_rotors(G, T, y)
-    chip = x
+    chip = known_vertex(G, x)
+    rotor = rotors_from_tree(G, T, y)
     budget = 10**6
     while chip != y:
-        rotor, chip = rotor_step(G, rotor, chip)
+        chip = rotor_step(G, rotor, chip)
         budget -= 1
         if budget < 0:  # pragma: no cover - rotor walks with a sink always halt
             raise AssertionError("rotor walk failed to reach the sink")
@@ -98,17 +97,23 @@ def unicycle_orbit(
     """Run 2|E| sink-free steps; return visited states and traversed darts.
 
     States are (sorted rotor items, chip) tuples; the state after the last
-    step closes the orbit back to the start.
+    step closes the orbit back to the start.  ``rotor`` must give exactly
+    the vertices of G an edge, which is checked at entry.
     """
     def key(r: Mapping[str, str], c: str) -> tuple[tuple, str]:
         return tuple(sorted(r.items())), c
 
+    for w in rotor:
+        known_vertex(G, w)
+    for v in G.vertices:
+        if v not in rotor:
+            raise MissingVertex(f"rotor is undefined at {v!r}")
     states = [key(rotor, known_vertex(G, chip))]
     darts = []
     r, c = dict(rotor), chip
     for _ in range(2 * len(G.edges)):
         prev = c
-        r, c = rotor_step(G, r, c)
+        c = rotor_step(G, r, c)
         darts.append(Dart(r[prev], prev))
         states.append(key(r, c))
     return states, darts

@@ -20,7 +20,6 @@ from treetorsor.bernardi import (
     bernardi_tour,
     beta_table,
     shift_difference_check,
-    vertex_split,
 )
 from treetorsor.errors import MissingVertex, NotBreakDivisor, NotIncident, NotSpanningTree
 from treetorsor.ribbon import (
@@ -386,13 +385,31 @@ def test_shift_formula_exhaustive_k4():
                     assert equal
 
 
+def _vertex_split_two_reach(G, v, e1, e2, T):
+    """The reference split: each arc by walking rotation(v) from its first
+    edge, each side by its own search of T - v."""
+    cycle = G.rotation[v]
+    i1, i2 = cycle.index(e1), cycle.index(e2)
+    k = len(cycle)
+    if e1 == e2:
+        arc_i = tuple(cycle[(i1 + j) % k] for j in range(k))
+        arc_j = ()
+    else:
+        arc_i = tuple(cycle[(i1 + j) % k] for j in range((i2 - i1) % k))
+        arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
+    forest = T.difference(G.incident[v])
+
+    def side(arc):
+        return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))
+
+    return arc_i, arc_j, side(arc_i), side(arc_j)
+
+
 def _shift_rhs_four_cases(G, v, e1, e2, T):
     """The arc formula's right-hand side case by case: a non-tree edge away
     from v between the two sides, or one at v whose far end lies across the
-    arc it leaves by."""
-    split = vertex_split(G, v, e1, e2, T)
-    A, B = split.side_first, split.side_second
-    out_arc = set(split.arc_second)
+    arc it leaves by, with the arcs and sides of the reference split."""
+    _, out_arc, A, B = _vertex_split_two_reach(G, v, e1, e2, T)
     rhs = {u: 0 for u in G.vertices}
     for f in G.edge_ids:
         if f in T:
@@ -438,36 +455,21 @@ def test_shift_rhs_matches_four_cases_random(seed):
     _assert_shift_rhs_matches_four_cases(G, spanning_trees(G)[:12])
 
 
-def _vertex_split_two_reach(G, v, e1, e2, T):
-    """The reference split: each arc by walking rotation(v) from its first
-    edge, each side by its own search of T - v."""
-    cycle = G.rotation[v]
-    i1, i2 = cycle.index(e1), cycle.index(e2)
-    k = len(cycle)
-    if e1 == e2:
-        arc_i = tuple(cycle[(i1 + j) % k] for j in range(k))
-        arc_j = ()
-    else:
-        arc_i = tuple(cycle[(i1 + j) % k] for j in range((i2 - i1) % k))
-        arc_j = tuple(cycle[(i2 + j) % k] for j in range((i1 - i2) % k))
-    forest = T.difference(G.incident[v])
-
-    def side(arc):
-        return frozenset(reach(G, [G.other_end(f, v) for f in arc if f in T], forest))
-
-    return arc_i, arc_j, side(arc_i), side(arc_j)
-
-
 def _assert_split_matches_oracle(G, trees):
+    """The side labelling ``_arc_labels``, read through ``_first_arc``,
+    against the reference split."""
     for T in trees:
         for v in G.vertices:
+            labels = bernardi._arc_labels(G, v, T)
+            assert labels.keys() == set(G.vertices) - {v}, (v, sorted(T))
             for e1 in G.incident[v]:
                 for e2 in G.incident[v]:
-                    split = vertex_split(G, v, e1, e2, T)
-                    got = (split.arc_first, split.arc_second, split.side_first, split.side_second)
-                    assert got == _vertex_split_two_reach(G, v, e1, e2, T), (v, e1, e2, sorted(T))
-                    assert split.side_first.isdisjoint(split.side_second)
-                    assert split.side_first | split.side_second == set(G.vertices) - {v}
+                    first = bernardi._first_arc(G, v, e1, e2)
+                    arc_first, _, side_first, side_second = _vertex_split_two_reach(G, v, e1, e2, T)
+                    got = ([f in arc_first for f in G.rotation[v]],
+                           {w for w, x in labels.items() if first[x]},
+                           {w for w, x in labels.items() if not first[x]})
+                    assert got == (first, side_first, side_second), (v, e1, e2, sorted(T))
 
 
 def test_vertex_split_matches_two_reach_oracle_on_default_corpus():
@@ -488,7 +490,7 @@ def test_vertex_split_matches_two_reach_oracle_random(seed):
 
 
 def test_split_and_shift_oracles_catch_a_mutant_labelling(monkeypatch):
-    # vertex_split and shift_difference_check share one side labelling; each
+    # the side labelling is read directly and through the cut ends; each
     # oracle must catch a labelling that is wrong away from v or at v
     G, labels, ends = corpus.k4(), bernardi._arc_labels, bernardi._cut_ends
     trees = spanning_trees(G)
@@ -582,7 +584,6 @@ def test_every_tree_argument_is_checked(G, T):
         (rotors_from_tree, G, T, v),
         (tree_path, G, T, u, v),
         (fundamental_cycle, G, T, G.edge_ids[-1]),
-        (vertex_split, G, v, e1, e2, T),
         (shift_difference_check, G, v, e1, e2, T),
     ]
     for gamma in ({}, {u: 1, v: -1}):

@@ -63,12 +63,78 @@ def test_tree_rotors_are_never_written():
 def test_rotor_step():
     G = corpus.k3()
     rotor = {"2": "a", "3": "b"}
-    nxt, chip = rt.rotor_step(G, rotor, "2")
     # rotation at 2 is (b, a): successor of a is b, chip crosses b to 3
-    assert nxt["2"] == "b"
-    assert chip == "3"
+    assert rt.rotor_step(G, rotor, "2") == "3"
+    assert rotor == {"2": "b", "3": "b"}
+    # a step at the sink or along a non-incident rotor raises and turns nothing
     with pytest.raises(ChipAtSink):
         rt.rotor_step(G, rotor, "1")
+    rotor["3"] = "zz"
+    with pytest.raises(NotIncident):
+        rt.rotor_step(G, rotor, "3")
+    assert rotor == {"2": "b", "3": "zz"}
+
+
+def _copying_walk(G, T, x, y):
+    """The reference walk from the tree rotors, copying the whole rotor on
+    every step: the image tree and the number of steps."""
+    rotor, chip, steps = rt.rotors_from_tree(G, T, y), x, 0
+    while chip != y:
+        if chip not in rotor:
+            raise ChipAtSink(f"chip is at the sink vertex {chip!r}")
+        new_edge = G.next_edge(chip, rotor[chip])
+        nxt = dict(rotor)
+        nxt[chip] = new_edge
+        a, b = G.ends[new_edge]
+        rotor, chip, steps = nxt, a if chip == b else b, steps + 1
+    return frozenset(rotor.values()), steps
+
+
+def _assert_moves_match_copying_walk(G, trees):
+    for T in trees:
+        for y in G.vertices:
+            for x in G.vertices:
+                assert rt.rotor_move(G, T, x, y) == _copying_walk(G, T, x, y)[0], (x, y, sorted(T))
+
+
+def test_rotor_move_matches_copying_walk_on_default_corpus():
+    checked = 0
+    for _, G in corpus.default_corpus():
+        trees = spanning_trees(G)
+        if len(trees) <= 200:
+            _assert_moves_match_copying_walk(G, trees)
+            checked += 1
+    assert checked >= 20
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_rotor_move_matches_copying_walk_random(seed):
+    G = random_graph(seed)
+    _assert_moves_match_copying_walk(G, spanning_trees(G)[:12])
+
+
+def test_rotor_move_steps_once_per_rotor_step(monkeypatch):
+    # every step of a walk goes through rotor_step, so a wrapper on it (as
+    # perfbench's rotor.steps counter is) sees each move's whole walk length
+    steps = [0]
+
+    def counted(G, rotor, chip, step=rt.rotor_step):
+        steps[0] += 1
+        return step(G, rotor, chip)
+
+    monkeypatch.setattr(rt, "rotor_step", counted)
+    G = corpus.k4()
+    walked = 0
+    for T in spanning_trees(G):
+        for y in G.vertices:
+            for x in G.vertices:
+                steps[0] = 0
+                image, expected = _copying_walk(G, T, x, y)
+                assert rt.rotor_move.__wrapped__(G, T, x, y) == image
+                assert steps[0] == expected, (x, y, sorted(T))
+                walked += expected
+    assert walked > 0
 
 
 # (call on K3, error, the bad value its message names); each is checked at entry
@@ -79,10 +145,16 @@ BAD_EDGE_ARGUMENTS = [
     pytest.param(lambda G: G.other_end("a", "zz"), NotIncident, "'zz'", id="other_end-not-an-end"),
     pytest.param(lambda G: rt.rotor_step(G, {"2": "zz"}, "2"), NotIncident, "'zz'",
                  id="rotor_step-non-incident-rotor"),
+    pytest.param(lambda G: rt.rotor_step(G, {"2": "a"}, "zz"), MissingVertex, "'zz'",
+                 id="rotor_step-unknown-chip"),
     pytest.param(lambda G: rt.cycle_is_reversible(G, rt.simple_cycles(G)[0], "xx"), TorsorError, "'xx'",
                  id="cycle_is_reversible-unknown-orientation"),
     pytest.param(lambda G: rt.unicycle_orbit(G, {"1": "a", "2": "b", "3": "c"}, "zz"), MissingVertex,
                  "'zz'", id="unicycle_orbit-unknown-chip"),
+    pytest.param(lambda G: rt.unicycle_orbit(G, {"1": "a", "2": "b", "zz": "c"}, "1"), MissingVertex,
+                 "'zz'", id="unicycle_orbit-unknown-rotor-vertex"),
+    pytest.param(lambda G: rt.unicycle_orbit(G, {"1": "a", "2": "b"}, "1"), MissingVertex, "'3'",
+                 id="unicycle_orbit-vertex-without-rotor"),
     # a plain (edge, tail) pair is read as the equal Dart, so it names the same bad dart
     pytest.param(lambda G: rt.cycle_is_reversible(G, (("a", "zz"), ("b", "2"), ("c", "3"))), NotACycle,
                  "a:zz", id="cycle_is_reversible-plain-pair-not-a-dart"),

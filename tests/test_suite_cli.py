@@ -633,14 +633,14 @@ def test_batteries_match_public_paths_catches_a_mutant(name, stand_in):
 
 
 def test_bernardi_battery_makes_no_public_call(monkeypatch):
-    # cold, then warm: no public action, shift check, split or class conversion
+    # cold, then warm: no public action, shift check or class conversion
     # (the generators are built as tuples); one labelling per (v, T)
     G = corpus.k4()
     calls = {
         name: _recorded(monkeypatch, module, name)
         for module, name in [
             (bernardi, "bernardi_act"), (bernardi, "shift_difference_check"),
-            (bernardi, "vertex_split"), (divisors, "divisor_to_tuple"), (suite, "_cut_ends"),
+            (divisors, "divisor_to_tuple"), (suite, "_cut_ends"),
         ]
     }
     labellings = len(G.vertices) * len(spanning_trees(G))
