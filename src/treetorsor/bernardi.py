@@ -21,7 +21,11 @@ The action of a class c sends T to the tree y with [beta(y)] = [beta(T)] + c.
 beta is a bijection onto the break divisors and a class holds exactly one, so
 a tree already in hand is tested as that image with no inverse: y is it iff
 key(beta(y)) = q-reduce(key(beta(T)) + c), keys q-reduced at the first vertex
-(``_class_keys``).  The torsor comparisons and the duality square test so.
+(``_class_keys``).  The torsor comparisons, the suite's ``edge-independence``
+check and the duality square test so.
+
+``_act`` is not cached: it adds the class key to the cached beta and looks the
+degree-g sum up in ``_tree_of``, which caches one tree per such divisor.
 """
 
 from __future__ import annotations
@@ -160,12 +164,16 @@ def alpha_left(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozense
     return _alpha(G, v, e, dv.divisor_to_tuple(G, D), True)
 
 
-@lru_cache(maxsize=None)
 def _act(
     G: RibbonGraph, v: str, e: str, gamma: tuple[int, ...], T: frozenset
 ) -> frozenset:
-    beta = bernardi_beta(G, v, e, T)
-    target = tuple(map(operator.add, beta.chips, gamma))
+    return _tree_of(G, v, e, tuple(map(operator.add, bernardi_beta(G, v, e, T).chips, gamma)))
+
+
+@lru_cache(maxsize=None)
+def _tree_of(G: RibbonGraph, v: str, e: str, target: tuple[int, ...]) -> frozenset:
+    """The tree whose beta_{(v,e)} is the break divisor in the class of the
+    degree-g divisor ``target``: one entry per target, not per (class, tree)."""
     rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
     return _alpha(G, v, e, rep.chips, False)
 

@@ -6,6 +6,9 @@ diffable).  A failing record always carries a witness with enough data to
 replay the failure through the corresponding single-operation CLI command.
 The torsor comparisons run one action per (generator, tree) and test its image
 by the class rule of ``bernardi._class_keys``: no second image is computed.
+``edge-independence`` runs one action per (vertex, generator, tree), at the
+vertex's first rotation edge, and tests its image at every other edge there
+by the same rule.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def _check_ribbon(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             for _ in range(len(face)):
                 d = face_successor(G, d)
             if d != face[0]:
-                fail()
+                fail({"dart": list(face[0]), "length": len(face)})
 
     euler = len(G.vertices) - len(G.edges) + len(fd.faces)
     report.add(
@@ -272,12 +275,16 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     _check_torsor_axioms(report, name, G, "bernardi-torsor",
                          lambda G, v, c, T: _act(G, v, G.rotation[v][0], c, T))
 
-    q = G.vertices[0]
+    # a y that is no tree fails here rather than raise in its class-key read
+    q, tree_set = G.vertices[0], set(trees)
     with report.check("edge-independence", name) as fail:
         for v in G.vertices:
-            for u, key in dv._generator_keys(G, q):
+            e0 = G.rotation[v][0]
+            rows = [{T: _class_keys(G, v, e, T) for T in trees} for e in G.incident[v] if e != e0]
+            for k, (u, key) in enumerate(dv._generator_keys(G, q)):
                 for T in trees:
-                    if len({_act(G, v, e, key, T) for e in G.incident[v]}) != 1:
+                    y = _act(G, v, e0, key, T)
+                    if y not in tree_set or any(row[y][0] != row[T][1][k] for row in rows):
                         fail({"vertex": v, "gamma": {u: 1, q: -1}, "tree": sorted(T)})
 
     with report.check("shift-formula", name) as fail:

@@ -1,6 +1,7 @@
 """Tours, the tree -> break divisor map, its inverses, and the tree action."""
 
 import gc
+import operator
 import random
 import re
 
@@ -325,6 +326,41 @@ def test_alpha_keeps_the_cli_error_messages():
             expected = (NotBreakDivisor, message)
             assert _outcome(bernardi._alpha.__wrapped__, G, v, e, dt, left) == expected
             assert _outcome(_alpha_frozenset, G, v, e, dt, left) == expected
+
+
+# -- the action against its (class, tree) form --------------------------------
+
+
+def _act_by_class_and_tree(G, v, e, gamma, T):
+    """The action computed in full for one (class, tree), with no cache of
+    targets: beta + gamma, reduced at the first vertex, its break
+    representative, the right inverse."""
+    target = tuple(map(operator.add, bernardi_beta(G, v, e, T).chips, gamma))
+    rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
+    return bernardi._alpha(G, v, e, rep.chips, False)
+
+
+def _assert_act_matches_class_and_tree_form(G):
+    """Every (v, e, generator, tree) of ``edge-independence`` and every
+    (class, tree) of the ``bernardi-torsor`` table."""
+    trees, q = spanning_trees(G), G.vertices[0]
+    gens = [key for _, key in dv._generator_keys(G, q)]
+    cases = [(v, e, key, T) for v in G.vertices for e in G.incident[v] for key in gens for T in trees]
+    cases += [(q, G.rotation[q][0], c, T) for c in dv.picard_group(G).elements for T in trees]
+    for v, e, key, T in cases:
+        assert bernardi._act(G, v, e, key, T) == _act_by_class_and_tree(G, v, e, key, T), (
+            v, e, key, sorted(T))
+
+
+def test_act_matches_class_and_tree_form_on_default_corpus():
+    for _, G in corpus.default_corpus():
+        _assert_act_matches_class_and_tree_form(G)
+
+
+@given(st.integers(0, 300))
+@settings(max_examples=15, deadline=None)
+def test_act_matches_class_and_tree_form_random(seed):
+    _assert_act_matches_class_and_tree_form(random_graph(seed))
 
 
 def test_action_identity_and_transitivity_k3():

@@ -12,6 +12,7 @@ from treetorsor import breakdiv as bk
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
+from treetorsor import suite
 from treetorsor.errors import DegreeMismatch, ValidationError
 from treetorsor.ribbon import RibbonGraph, _shared_tree, spanning_trees
 from treetorsor.suite import search_conjecture
@@ -411,6 +412,21 @@ def test_rotation_systems_share_the_rotation_free_caches():
     assert rt._tree_rotors.cache_info().currsize <= 16 * 4
     # one generator table per base vertex of the one underlying graph
     assert dv._generator_keys.cache_info().currsize == 4
+
+
+def test_one_cold_bernardi_battery_caches_one_tree_per_target():
+    G = corpus.k4()
+    clear_caches()
+    suite._check_bernardi(suite.SuiteReport(), "k4", G)
+    # the action keeps no cache of its own: its trees are cached per degree-g
+    # divisor beta + gamma, 155 of them for 448 actions (16 x 16 for the torsor
+    # table, 4 x 3 x 16 for edge-independence)
+    assert not hasattr(bernardi._act, "cache_info")
+    assert bernardi._tree_of.cache_info().currsize == 155
+    # one class-key row per (vertex, edge other than its first rotation edge, tree)
+    assert bernardi._class_keys.cache_info().currsize == 4 * 2 * 16
+    clear_caches()
+    assert bernardi._tree_of.cache_info().currsize == 0
 
 
 def test_skeleton_is_shared_and_carries_the_break_divisors():

@@ -427,9 +427,16 @@ def _beta_of_first_tree(G, v, e, T):
     return bernardi.bernardi_beta(G, v, e, spanning_trees(G)[0])
 
 
-def _fixed_from_last_edge(G, v, e, key, T):
-    """The action, except that from v's last incident edge it fixes every tree."""
-    return T if e == G.incident[v][-1] else bernardi._act(G, v, e, key, T)
+def _fixed_from_last_edge(G, v, e, T):
+    """The class keys, except that at v's last incident edge every generator
+    keeps T's class: read by the class rule, the action from there fixes every tree."""
+    key, row = bernardi._class_keys(G, v, e, T)
+    return (key, (key,) * len(row)) if e == G.incident[v][-1] else (key, row)
+
+
+def _no_tree_for_first_tree(G, v, e, key, T):
+    """The action, except that the first tree goes to an edge set that is no tree."""
+    return frozenset() if T == spanning_trees(G)[0] else bernardi._act(G, v, e, key, T)
 
 
 def _equal_only_from_one_edge(G, v, e1, e2, T, first, ends):
@@ -476,7 +483,8 @@ RIBBON, DIVISORS, BREAK = suite._check_ribbon, suite._check_divisors, suite._che
 BERNARDI, ROTOR, DUALITY = suite._check_bernardi, suite._check_rotor, suite._check_duality
 # (check, battery, graph, suite attribute, its stand-in) -> the witness of the failing record
 WITNESS_CASES = [
-    ("face-permutation-closure", RIBBON, "k4", "face_successor", _stuck_face, {}),
+    ("face-permutation-closure", RIBBON, "k4", "face_successor", _stuck_face,
+     {"dart": ["e12", "2"], "length": 8}),
     ("fundamental-cycle", RIBBON, "k4", "fundamental_cycle", _reversed_in_first_tree,
      {"edge": "e34", "tree": ["e12", "e13", "e14"]}),
     ("q-reduce-canonical", DIVISORS, "k4", "dv", _module_with(divisors, q_reduce=_unreducing),
@@ -494,8 +502,10 @@ WITNESS_CASES = [
      {"edge": "e34", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
     ("bernardi-bijectivity", BERNARDI, "theta", "bernardi_beta", _beta_of_first_tree,
      {"edge": "r", "vertex": "v"}),
-    ("edge-independence", BERNARDI, "k4", "_act", _fixed_from_last_edge,
+    ("edge-independence", BERNARDI, "k4", "_class_keys", _fixed_from_last_edge,
      {"gamma": {"1": -1, "4": 1}, "tree": ["e14", "e24", "e34"], "vertex": "4"}),
+    ("edge-independence", BERNARDI, "theta", "_act", _no_tree_for_first_tree,
+     {"gamma": {"u": -1, "v": 1}, "tree": ["p"], "vertex": "v"}),
     ("shift-formula", BERNARDI, "k4", "_shift_sides", _equal_only_from_one_edge,
      {"edge1": "e34", "edge2": "e24", "tree": ["e14", "e24", "e34"], "vertex": "4"}),
     ("rotor-move-tree", ROTOR, "k4", "rt",
@@ -553,29 +563,39 @@ def _recorded(patch, module, name):
 
 def _assert_batteries_match_public_paths(G, stand_ins=()):
     """Run ``_check_bernardi`` and ``_check_rotor`` on G, optionally with some
-    suite names replaced, and check every action image and every pair of
-    shift-formula sides they read against the public path."""
+    suite names replaced, and check every action image, every class-rule
+    verdict and every pair of shift-formula sides they read against the public
+    path."""
     trees, group, q = spanning_trees(G), picard_group(G), G.vertices[0]
     with pytest.MonkeyPatch.context() as patch:
         for name, stand_in in stand_ins:
             patch.setattr(suite, name, stand_in)
         acts = _recorded(patch, suite, "_act")
+        keys = _recorded(patch, suite, "_class_keys")
         sides = _recorded(patch, suite, "_shift_sides")
         suite._check_bernardi(suite.SuiteReport(), "g", G)
         patch.setattr(suite, "rt", _module_with(rotor))
         rotor_acts = _recorded(patch, suite.rt, "_act")
         suite._check_rotor(suite.SuiteReport(), "g", G)
 
-    # the torsor tables and edge-independence, through bernardi_act(..., e=e)
+    # the torsor table and edge-independence's one action per (v, generator, tree)
+    # at v's first rotation edge, through bernardi_act(..., e=e)
     for (_, v, e, key, T), image in acts:
         assert image == bernardi_act(G, v, divisors.tuple_to_divisor(G, key), T, e=e)
+    gens = divisors._generator_keys(G, q)
     torsor = {(q, G.rotation[q][0], c, T) for c in group.elements for T in trees}
-    edges = {
-        (v, e, key, T)
-        for v in G.vertices for e in G.incident[v]
-        for _, key in divisors._generator_keys(G, q) for T in trees
-    }
-    assert {args[1:] for args, _ in acts} == torsor | edges
+    first = {(v, G.rotation[v][0], key, T) for v in G.vertices for _, key in gens for T in trees}
+    assert {args[1:] for args, _ in acts} == torsor | first
+    # edge-independence at every other edge: the class-rule verdict on that image
+    # is whether bernardi_act from e gives the same tree
+    images = {args[1:]: y for args, y in acts}
+    read = {args[1:]: result for args, result in keys}
+    others = {(v, e) for v in G.vertices for e in G.incident[v] if e != G.rotation[v][0]}
+    assert set(read) == {(v, e, T) for v, e in others for T in trees}
+    for (v, e), (k, (u, key)), T in product(sorted(others), enumerate(gens), trees):
+        y = images[v, G.rotation[v][0], key, T]
+        verdict = read[v, e, y][0] == read[v, e, T][1][k]
+        assert verdict == (bernardi_act(G, v, {u: 1, q: -1}, T, e=e) == y), (v, e, u, sorted(T))
     # the rotor torsor table, through rotor_act
     for (_, v, c, T), image in rotor_acts:
         assert image == rotor_act(G, v, divisors.tuple_to_divisor(G, c), T)
@@ -621,7 +641,7 @@ def _identity_on_classes(G, v, e, key, T):
 
 @pytest.mark.parametrize(
     "name,stand_in",
-    [("_cut_ends", _ends_at_v_unlabelled), ("_act", _fixed_from_last_edge),
+    [("_cut_ends", _ends_at_v_unlabelled), ("_class_keys", _fixed_from_last_edge),
      ("_act", _identity_on_classes)],
     ids=["labelling-ignores-arc-at-v", "act-fixed-from-last-edge", "act-ignores-class"],
 )
