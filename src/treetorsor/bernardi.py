@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from . import breakdiv as bk
 from . import divisors as dv
-from .errors import NotBreakDivisor, NotIncident, NotSpanningTree
+from .errors import NotBreakDivisor, NotSpanningTree
 from .ribbon import RibbonGraph, _shared_tree, known_vertex, reach, spanning_trees
 
 
@@ -62,7 +62,7 @@ class Tour:
 
 def _check_incident(G: RibbonGraph, v: str, e: str) -> None:
     if e not in G.incident[known_vertex(G, v)]:
-        raise NotIncident(f"edge {e!r} is not incident to vertex {v!r}")
+        G.other_end(e, v)  # raises UnknownEdge, or NotIncident for a known edge
 
 
 def _walk(G: RibbonGraph, v: str, e: str, T: frozenset) -> Iterator[tuple[str, str, bool]]:

@@ -11,9 +11,10 @@ the graph file, then the options in ``OPTIONS`` order, then the command's own
 preconditions (planarity, say) inside the library call.  The first bad input
 is the one reported, as one ``error:`` line.
 
-A value option is ``--opt value`` or ``--opt=value``, the token after
-``--opt`` taken verbatim.  Names are written in full; an unlisted, repeated or
-missing option is an error, and ``-h``/``--help`` prints the tables' usage.
+Every option takes one value, as ``--opt value`` or ``--opt=value``, the
+token after ``--opt`` taken verbatim.  Names are written in full; an unlisted,
+repeated or missing option is an error, and ``-h``/``--help`` prints the
+tables' usage.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _equal_or_witness(same: bool, witness) -> int:
     return _verdict(same, "equal", "different " + _json(witness))
 
 
-def _cmd_suite(corpus_dir: str, mirror_dual: bool) -> int:
+def _cmd_suite(corpus_dir: str) -> int:
     try:
         names = [name for name in sorted(os.listdir(corpus_dir)) if name.endswith(".json")]
     except OSError as exc:
@@ -125,7 +126,7 @@ def _cmd_suite(corpus_dir: str, mirror_dual: bool) -> int:
             corpus.append((name[: -len(".json")], _load_graph(os.path.join(corpus_dir, name))))
         except (TorsorError, OSError) as exc:
             raise TorsorError(f"{name}: {exc}") from exc
-    report = sw.run_theorem_suite(corpus, mirror_dual=mirror_dual)
+    report = sw.run_theorem_suite(corpus)
     print(report.dump())
     return PASS if report.ok else FAIL
 
@@ -160,16 +161,12 @@ def _cmd_export_dot(G, v, e, T) -> None:
 class Option(NamedTuple):
     read: Callable | None  # checks the text against the graph; None passes the text on
     help: str = ""
-    flag: bool = False  # takes no value: True when given, else False
 
-
-_MIRROR = "debug: flip the dual-graph convention to show the square failing"
 
 # every argument, in the one order main reads them
 OPTIONS = {
     "file": Option(None, "graph file (JSON)"),
     "corpus_dir": Option(None, "directory of graph files (JSON)"),
-    "--mirror-dual": Option(None, _MIRROR, flag=True),
     "--vertex": Option(rb.known_vertex),
     "--other": Option(rb.known_vertex),
     "--from": Option(rb.known_vertex),
@@ -233,7 +230,7 @@ COMMANDS = (
     Command("compare-torsors", "tour action vs rotor action at a vertex",
             lambda *args: _equal_or_witness(*sw.compare_torsors(*args)), ("--vertex",)),
     Command("suite", "run the theorem suite over a corpus directory", _cmd_suite,
-            ("corpus_dir", "--mirror-dual"), graph=False),
+            ("corpus_dir",), graph=False),
     Command("search", "rotation-system search over a simple graph", _cmd_search),
     Command("export-dot", "the tour of a spanning tree as annotated DOT", _cmd_export_dot,
             _TOUR),
@@ -243,10 +240,10 @@ COMMANDS = (
 _HELP = ("-h", "--help")
 
 
-def _read_argv(cmd: Command, argv: list[str]) -> dict[str, str | bool] | None:
-    """The text of each argument of ``cmd`` in ``argv`` by name (presence for a
-    flag), or None if ``argv`` asks for help.  The first usage error is raised
-    after the last token, so a help request anywhere wins."""
+def _read_argv(cmd: Command, argv: list[str]) -> dict[str, str] | None:
+    """The text of each argument of ``cmd`` in ``argv`` by name, or None if
+    ``argv`` asks for help.  The first usage error is raised after the last
+    token, so a help request anywhere wins."""
     names = cmd.arguments
     free = [name for name in names if not name.startswith("-")]  # the one positional
     texts, errors, tokens = {}, [], iter(argv)
@@ -257,22 +254,19 @@ def _read_argv(cmd: Command, argv: list[str]) -> dict[str, str | bool] | None:
             name, eq, value = token.partition("=")
         else:  # like --name=value: a second positional is unrecognized
             name, eq, value = free.pop() if free else token, "=", token
-        option = OPTIONS[name] if name in names else None
-        if option and not option.flag and not eq:
+        if name in names and not eq:
             value = next(tokens, None)
-        error = (f"unrecognized argument {name!r}" if option is None
-                 else f"{name} takes no value" if option.flag and eq
+        error = (f"unrecognized argument {name!r}" if name not in names
                  else f"{name} needs a value" if value is None
                  else f"{name} given twice" if name in texts else None)
         if error:
             errors.append(error)
         else:
             texts[name] = value
-    errors += [f"missing argument {name}" for name in names
-               if name not in texts and not OPTIONS[name].flag]
+    errors += [f"missing argument {name}" for name in names if name not in texts]
     if errors:
         raise TorsorError(errors[0])
-    return {name: name in texts if OPTIONS[name].flag else texts[name] for name in names}
+    return texts
 
 
 def _usage(cmd: Command | None) -> str:
@@ -282,10 +276,9 @@ def _usage(cmd: Command | None) -> str:
         head = "COMMAND [ARGUMENTS]\n\ndivisor theory and spanning-tree torsors on ribbon graphs"
     else:
         names = cmd.arguments
-        rows = [(name if not name.startswith("-") or OPTIONS[name].flag
-                 else f"{name} {name[2:].upper()}", OPTIONS[name].help) for name in names]
-        args = [f"[{arg}]" if OPTIONS[name].flag else arg for name, (arg, _) in zip(names, rows)]
-        head = " ".join([cmd.name] + args) + "\n\n" + cmd.help
+        rows = [(f"{name} {name[2:].upper()}" if name.startswith("-") else name, OPTIONS[name].help)
+                for name in names]
+        head = " ".join([cmd.name] + [arg for arg, _ in rows]) + "\n\n" + cmd.help
     width = max(len(arg) for arg, _ in rows)
     return "\n".join([f"usage: treetorsor {head}", ""]
                      + [f"  {arg:<{width}}  {text}".rstrip() for arg, text in rows])

@@ -7,9 +7,10 @@ convention of ribbon.trace_faces, each face orbit already lists its boundary
 edges in the opposite rotational sense, so the dual rotation is the orbit
 order as-is, and the dart correspondence sends a dart to the dual dart
 leaving the face of its reverse.  The commuting square of the two Bernardi
-actions pins this choice against its mirror image (the mirror fails it).  The
-square runs the primal action only, and tests the dual tree of its image by
-the class rule of ``bernardi._class_keys``.
+actions pins this choice: the tests build its mirror image (each dart sent to
+the dual dart leaving its own face) as a stand-in and see the square fail.
+The square runs the primal action only, and tests the dual tree of its image
+by the class rule of ``bernardi._class_keys``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,8 @@ class DualCorrespondence:
 
 
 @lru_cache(maxsize=None)
-def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
-    """Construct the dual of a planar bridgeless ribbon graph.
-
-    ``mirror=True`` deliberately picks the wrong mirror image of the dart
-    correspondence; it exists so the suite can demonstrate that the commuting
-    square detects the bad convention.
-    """
+def dual_graph(G: RibbonGraph) -> DualCorrespondence:
+    """Construct the dual of a planar bridgeless ribbon graph."""
     decomposition = trace_faces(G)
     if decomposition.topological_genus != 0:
         raise NotPlanar(
@@ -58,9 +54,8 @@ def dual_graph(G: RibbonGraph, mirror: bool = False) -> DualCorrespondence:
         if face_of[d1] == face_of[d2]:
             raise HasBridge(f"edge {eid!r} is a bridge; the dual would have a loop")
         edges.append((eid, (face_of[d1], face_of[d2])))
-        # a dart goes to the dual dart leaving the face of its reverse (mirror: its own)
-        near, far = (d1, d2) if mirror else (d2, d1)
-        dart_map[d1], dart_map[d2] = Dart(eid, face_of[near]), Dart(eid, face_of[far])
+        # a dart goes to the dual dart leaving the face of its reverse
+        dart_map[d1], dart_map[d2] = Dart(eid, face_of[d2]), Dart(eid, face_of[d1])
 
     # dual rotation: the boundary walk order of each face
     rotation = {fid: [d.edge for d in face] for fid, face in face_map.items()}

@@ -381,11 +381,9 @@ def _check_rotor(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                 fail({"cycle": [list(d) for d in C]})
 
 
-def _check_duality(
-    report: SuiteReport, name: str, G: RibbonGraph, mirror_dual: bool = False
-) -> None:
+def _check_duality(report: SuiteReport, name: str, G: RibbonGraph) -> None:
     try:
-        corr = du.dual_graph(G, mirror=mirror_dual)
+        corr = du.dual_graph(G)
     except (NotPlanar, HasBridge):
         return
     fd, Gd = trace_faces(G), corr.dual
@@ -461,14 +459,8 @@ def _check_comparisons(report: SuiteReport, name: str, G: RibbonGraph) -> None:
                     fail({"vertex": v, **(w or {})})
 
 
-def run_theorem_suite(
-    corpus: list[tuple[str, RibbonGraph]], mirror_dual: bool = False
-) -> SuiteReport:
-    """Run every module's documented invariants against every corpus graph.
-
-    ``mirror_dual`` deliberately flips the dual-graph dart convention so the
-    commuting-square checks fail with witnesses (a self-test of the suite).
-    """
+def run_theorem_suite(corpus: list[tuple[str, RibbonGraph]]) -> SuiteReport:
+    """Run every module's documented invariants against every corpus graph."""
     report = SuiteReport()
     for name, G in corpus:
         _check_ribbon(report, name, G)
@@ -476,7 +468,7 @@ def run_theorem_suite(
         _check_break(report, name, G)
         _check_bernardi(report, name, G)
         _check_rotor(report, name, G)
-        _check_duality(report, name, G, mirror_dual=mirror_dual)
+        _check_duality(report, name, G)
         _check_comparisons(report, name, G)
     return report
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
+from treetorsor.bernardi import alpha_right, bernardi_act, bernardi_tour, shift_difference_check
 from treetorsor.errors import (
     ChipAtSink, MissingVertex, NotACycle, NotIncident, TorsorError, UnknownEdge,
 )
@@ -143,6 +144,14 @@ BAD_EDGE_ARGUMENTS = [
                  id="fundamental_cycle-unknown-edge"),
     pytest.param(lambda G: G.other_end("zz", "1"), UnknownEdge, "'zz'", id="other_end-unknown-edge"),
     pytest.param(lambda G: G.other_end("a", "zz"), NotIncident, "'zz'", id="other_end-not-an-end"),
+    pytest.param(lambda G: bernardi_tour(G, "1", "zz", frozenset({"a", "b"})), UnknownEdge, "'zz'",
+                 id="bernardi_tour-unknown-edge"),
+    pytest.param(lambda G: alpha_right(G, "1", "zz", {"3": 1}), UnknownEdge, "'zz'",
+                 id="alpha_right-unknown-edge"),
+    pytest.param(lambda G: bernardi_act(G, "1", {}, frozenset({"a", "b"}), e="zz"), UnknownEdge,
+                 "'zz'", id="bernardi_act-unknown-edge"),
+    pytest.param(lambda G: shift_difference_check(G, "1", "a", "zz", frozenset({"a", "b"})),
+                 UnknownEdge, "'zz'", id="shift_difference_check-unknown-edge"),
     pytest.param(lambda G: rt.rotor_step(G, {"2": "zz"}, "2"), NotIncident, "'zz'",
                  id="rotor_step-non-incident-rotor"),
     pytest.param(lambda G: rt.rotor_step(G, {"2": "a"}, "zz"), MissingVertex, "'zz'",

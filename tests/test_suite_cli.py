@@ -29,6 +29,8 @@ from treetorsor.errors import NotSimple, TorsorError
 from treetorsor.ribbon import spanning_trees, trace_faces
 from treetorsor.rotor import rotor_act
 
+from test_duality import _mirrored
+
 
 SMALL = [
     ("single-edge", corpus.single_edge()),
@@ -64,8 +66,15 @@ def test_suite_records_are_json_lines():
         json.loads(line)
 
 
-def test_mirror_dual_fails_square_with_witness():
-    report = suite.run_theorem_suite([("k3", corpus.k3())], mirror_dual=True)
+def _mirror_duals(monkeypatch):
+    """Give every dual graph built after this call the mirror dart convention."""
+    build = duality.dual_graph
+    monkeypatch.setattr(duality, "dual_graph", lambda G: _mirrored(build(G)))
+
+
+def test_mirror_dual_fails_square_with_witness(monkeypatch):
+    _mirror_duals(monkeypatch)
+    report = suite.run_theorem_suite([("k3", corpus.k3())])
     squares = [r for r in report.records if r.check == "duality-square"]
     assert squares and not squares[0].ok
     assert "gamma" in squares[0].witness and "tree" in squares[0].witness
@@ -100,11 +109,23 @@ def test_golden_default_corpus_stream():
     assert _sha256(dump) == "aeccc74fb1f552c69795e4b7668d52ce369a0bc97f0944224f8570ff33e021dc"
 
 
-def test_golden_mirror_dual_stream():
+def test_golden_mirror_dual_stream(monkeypatch):
     # pins the witness format: full name-keyed classes, zero entries included
-    dump = suite.run_theorem_suite([("k3", corpus.k3())], mirror_dual=True).dump()
+    _mirror_duals(monkeypatch)
+    dump = suite.run_theorem_suite([("k3", corpus.k3())]).dump()
     assert len(dump.splitlines()) == 27
     assert _sha256(dump) == "4468ec75707e1c2145ad581b5e4500acb2a1d348a560f53dfc775e96168e477e"
+
+
+def test_golden_mirrored_cli_stream(tmp_path, capsys, monkeypatch):
+    # `treetorsor suite` over the written default corpus under the mirror
+    # convention: seven duality-square records fail, each with a witness
+    corpus.write_corpus(str(tmp_path))
+    _mirror_duals(monkeypatch)
+    assert main(["suite", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == '{"summary": {"failed": 7, "passed": 784}}'
+    assert _sha256(out) == "70d152aab96dd796a822df2c8cde2506761de934e7822ced5b8196adf6b9d28e"
 
 
 def test_golden_k4_search_stream():
@@ -1046,11 +1067,15 @@ def test_cli_compare_commands(corpus_dir, capsys):
     assert main(["compare-torsors", planar, "--vertex", "u"]) == 0
 
 
-def test_cli_suite(corpus_dir, capsys):
+def test_cli_suite(corpus_dir, capsys, monkeypatch):
     assert main(["suite", str(corpus_dir)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert json.loads(lines[-1])["summary"]["failed"] == 0
-    assert main(["suite", str(corpus_dir), "--mirror-dual"]) == 1
+    # the mirror convention is a test stand-in, not an option
+    assert main(["suite", str(corpus_dir), "--mirror-dual"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized argument '--mirror-dual'\n"
+    _mirror_duals(monkeypatch)
+    assert main(["suite", str(corpus_dir)]) == 1
 
 
 def test_cli_search(k3_file, capsys):
@@ -1097,6 +1122,8 @@ def test_cli_input_errors(k3_file, capsys):
     assert main(["--help"]) == 0
     usage = capsys.readouterr().out
     assert all(cmd.name in usage for cmd in COMMANDS)
+    assert main(["suite", "--help"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "usage: treetorsor suite corpus_dir"
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -1130,6 +1157,9 @@ def test_cli_input_errors(k3_file, capsys):
     named[beta + ("zz,yy,xx,ww,vv,uu,tt,ss",)] = "error: unknown edge 'zz' in tree argument\n"
     named[beta + ("a,a,b",)] = "error: repeated edge 'a' in tree argument\n"
     named[beta + ("b,a,zz,b",)] = "error: unknown edge 'zz' in tree argument\n"
+    # an edge id that names no edge, as the graph's own lookups word it
+    bad_edge = ("beta", k3_file, "--vertex", "1", "--edge", "zz", "--tree", "a,b")
+    named[bad_edge] = "error: unknown edge 'zz'\n"
     for argv, message in named.items():
         assert main(list(argv)) == 2, argv
         err = capsys.readouterr().err
