@@ -4,7 +4,7 @@ induced group action on spanning trees.
 The tour is a (vertex, edge) state machine: walk tree edges, cut non-tree
 edges, always continuing with the rotation successor.  One generator,
 ``_walk``, runs it on the graph's own tables (``G.ends`` and the rotation
-successors) and drives the forward map: ``bernardi_beta`` counts first cuts
+successors) and drives the forward map: ``_beta`` counts first cuts
 from it and the suite's ``tour-structure`` check reads its steps, neither
 building a tour; ``bernardi_tour`` records them as a ``Tour`` only for the
 ``tour`` and ``export-dot`` commands.  The two inverse reconstructions replay
@@ -13,8 +13,10 @@ rotation G induces there, deciding walk vs cut by whether the divisor left is
 a break divisor of that minor, which one orientation of its edges decides.
 
 Every tree taken or returned passes ``ribbon._shared_tree`` (one object per
-spanning tree, ``NotSpanningTree`` for a non-tree).  beta is cached; the walk
-runs again on each beta miss, each ``tour-structure`` read and each
+spanning tree, ``NotSpanningTree`` for a non-tree).  Each tour start (G, v, e)
+has one cached ``_Start`` record, made only for an incident pair: beta's chips
+by tree, the two inverses by divisor, and the action's trees by target.  The
+walk runs again on each beta miss, each ``tour-structure`` read and each
 ``bernardi_tour`` call.
 
 The action of a class c sends T to the tree y with [beta(y)] = [beta(T)] + c.
@@ -24,8 +26,8 @@ key(beta(y)) = q-reduce(key(beta(T)) + c), keys q-reduced at the first vertex
 (``_class_keys``).  The torsor comparisons, the suite's ``edge-independence``
 check and the duality square test so.
 
-``_act`` is not cached: it adds the class key to the cached beta and looks the
-degree-g sum up in ``_tree_of``, which caches one tree per such divisor.
+``_act`` adds the class key to the cached beta and keeps one tree per such
+degree-g sum in its start's record, not one per (class, tree).
 """
 
 from __future__ import annotations
@@ -97,22 +99,56 @@ def bernardi_tour(G: RibbonGraph, v: str, e: str, T: frozenset) -> Tour:
     return Tour(tuple(steps), eta)
 
 
+class _Start:
+    """What is cached for one tour start: beta's chips by tree, the right and
+    the left inverse by divisor, and the action's tree by degree-g target."""
+
+    __slots__ = ("beta", "right", "left", "trees")
+
+    def __init__(self) -> None:
+        self.beta, self.right, self.left, self.trees = {}, {}, {}, {}
+
+
 @lru_cache(maxsize=None)
-def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivisor:
+def _start(G: RibbonGraph, v: str, e: str) -> _Start:
+    """The record of the tour start (v, e), made once e is checked incident to v."""
+    _check_incident(G, v, e)
+    return _Start()
+
+
+def _beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> tuple[int, ...]:
     """One chip at the first-cut endpoint of each non-tree edge, counted
     from the walk itself: no tour is built."""
-    at = G._vertex_pos
-    chips = [0] * len(G.vertices)
-    cut = set()
-    for u, f, walked in _walk(G, v, e, T):
-        if not walked and f not in cut:
-            cut.add(f)
-            chips[at[u]] += 1
-    return bk.BreakDivisor(G.skeleton, tuple(chips), T)
+    memo = _start(G, v, e).beta
+    chips = memo.get(T)
+    if chips is None:
+        at = G._vertex_pos
+        count = [0] * len(G.vertices)
+        cut = set()
+        for u, f, walked in _walk(G, v, e, T):
+            if not walked and f not in cut:
+                cut.add(f)
+                count[at[u]] += 1
+        chips = memo[T] = tuple(count)
+    return chips
 
 
-@lru_cache(maxsize=None)
+def bernardi_beta(G: RibbonGraph, v: str, e: str, T: frozenset) -> bk.BreakDivisor:
+    """beta_{(v,e)}(T), with T as its witness tree."""
+    return bk.BreakDivisor(G.skeleton, _beta(G, v, e, T), T)
+
+
 def _alpha(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> frozenset:
+    """``_reconstruct``, kept in the start's record by divisor."""
+    start = _start(G, v, e)
+    memo = start.left if left else start.right
+    tree = memo.get(dt)
+    if tree is None:
+        tree = memo[dt] = _reconstruct(G, v, e, dt, left)
+    return tree
+
+
+def _reconstruct(G: RibbonGraph, v: str, e: str, dt: tuple[int, ...], left: bool) -> frozenset:
     """Shared body of the two inverse reconstructions.
 
     The tour runs on G minus the edges cut so far (``removed``, a bitmask over
@@ -167,15 +203,16 @@ def alpha_left(G: RibbonGraph, v: str, e: str, D: Mapping[str, int]) -> frozense
 def _act(
     G: RibbonGraph, v: str, e: str, gamma: tuple[int, ...], T: frozenset
 ) -> frozenset:
-    return _tree_of(G, v, e, tuple(map(operator.add, bernardi_beta(G, v, e, T).chips, gamma)))
-
-
-@lru_cache(maxsize=None)
-def _tree_of(G: RibbonGraph, v: str, e: str, target: tuple[int, ...]) -> frozenset:
     """The tree whose beta_{(v,e)} is the break divisor in the class of the
-    degree-g divisor ``target``: one entry per target, not per (class, tree)."""
-    rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
-    return _alpha(G, v, e, rep.chips, False)
+    degree-g divisor beta_{(v,e)}(T) + gamma."""
+    start = _start(G, v, e)
+    # chips are never empty, so ``or`` falls through to the walk only on a miss
+    target = tuple(map(operator.add, start.beta.get(T) or _beta(G, v, e, T), gamma))
+    tree = start.trees.get(target)
+    if tree is None:
+        rep = bk._break_rep(G, dv._q_reduce(G, target, G.vertices[0]))
+        tree = start.trees[target] = _alpha(G, v, e, rep.chips, False)
+    return tree
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +220,7 @@ def _class_keys(G: RibbonGraph, v: str, e: str, T: frozenset) -> tuple[tuple, tu
     """The q-reduced key of [beta_{(v,e)}(T)], q the first vertex, and the keys
     of that class plus each generator of ``dv._generator_keys(G, q)``."""
     q = G.vertices[0]
-    key = dv._q_reduce(G, bernardi_beta(G, v, e, T).chips, q)
+    key = dv._q_reduce(G, _beta(G, v, e, T), q)
     gens = dv._generator_keys(G, q)
     return key, tuple(dv._q_reduce(G, tuple(map(operator.add, key, g)), q) for _, g in gens)
 
@@ -249,8 +286,8 @@ def _shift_sides(
     """Both sides of the shift formula in vertex file order (see
     ``shift_difference_check``): beta1 - beta2, and the arc formula read off
     ``first = _first_arc(G, v, e1, e2)`` and ``ends = _cut_ends(G, v, T)``."""
-    b1 = bernardi_beta(G, v, e1, T).chips
-    b2 = bernardi_beta(G, v, e2, T).chips
+    b1 = _beta(G, v, e1, T)
+    b2 = _beta(G, v, e2, T)
     rhs = [0] * len(b1)
     for a, la, b, lb in ends:
         if first[la] != first[lb]:
@@ -278,4 +315,4 @@ def shift_difference_check(
 
 def beta_table(G: RibbonGraph, v: str, e: str) -> dict[frozenset, tuple[int, ...]]:
     """beta_{(v,e)} over all spanning trees, as coefficient tuples."""
-    return {T: bernardi_beta(G, v, e, T).chips for T in spanning_trees(G)}
+    return {T: _beta(G, v, e, T) for T in spanning_trees(G)}

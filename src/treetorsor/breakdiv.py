@@ -8,7 +8,9 @@ D, and a break divisor iff D + 1 - (q) is the in-degree of an orientation in
 which q reaches every vertex (An, Baker, Kuperberg, Shokrieh).  Membership in
 the minor G - R, given as G and the bitmask of R over ``G._edge_bit``, orients
 the edges outside R; it is the inner test of the inverse Bernardi algorithms,
-which never build the minor.  The break divisor of a degree-g class is read
+which never build the minor.  Its answers are kept for one skeleton at a
+time (``_trial_cuts``): the inverses of one graph run together, so a new
+graph starts a new table.  The break divisor of a degree-g class is read
 off such an orientation too.  Enumerating every break divisor (one per tree
 and endpoint choice) is the exhaustive oracle that tests compare these with.
 """
@@ -16,6 +18,7 @@ and endpoint choice) is the exhaustive oracle that tests compare these with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from . import divisors as dv
@@ -85,8 +88,23 @@ def is_compatible(
     return heads is not None, heads
 
 
-@rotation_free
+@lru_cache(maxsize=1)
+def _trial_cuts(S: RibbonGraph) -> dict:
+    """``_is_break``'s answers on the skeleton ``S``, by (removed, dt)."""
+    return {}
+
+
 def _is_break(G: RibbonGraph, removed: int, dt: tuple[int, ...]) -> bool:
+    """``_breaks_minor`` on G's skeleton, kept in ``_trial_cuts``."""
+    S = G.skeleton
+    table = _trial_cuts(S)
+    answer = table.get((removed, dt))
+    if answer is None:
+        answer = table[removed, dt] = _breaks_minor(S, removed, dt)
+    return answer
+
+
+def _breaks_minor(G: RibbonGraph, removed: int, dt: tuple[int, ...]) -> bool:
     """Whether ``dt`` is a break divisor of G minus the edges set in the
     bitmask ``removed`` (False when that minor is disconnected).  Orientations
     with equal in-degrees differ by reversed directed cycles, so one decides."""

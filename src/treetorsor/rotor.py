@@ -119,12 +119,18 @@ def unicycle_orbit(
     return states, darts
 
 
-def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
-    if not C:
-        raise NotACycle("empty dart sequence")
-    for d in C:
-        if d.edge not in G.ends or d.tail not in (G.ends[d.edge]):
-            raise NotACycle(f"dart {d.edge}:{d.tail} is not a dart of the graph")
+def _read_cycle(G: RibbonGraph, cycle) -> tuple[Dart, ...]:
+    """``cycle`` as darts, each element read as an (edge, tail) pair of ids;
+    ``NotACycle`` unless they form a directed simple cycle of G."""
+    try:
+        C = tuple(Dart(*d) for d in cycle)
+        if not C:
+            raise NotACycle("empty dart sequence")
+        for d in C:
+            if d.edge not in G.ends or d.tail not in (G.ends[d.edge]):
+                raise NotACycle(f"dart {d.edge}:{d.tail} is not a dart of the graph")
+    except TypeError:
+        raise NotACycle(f"cycle elements must be (edge, tail) pairs of ids: {cycle!r}") from None
     for d, nxt in zip(C, C[1:] + C[:1]):
         if G.head(d) != nxt.tail:
             raise NotACycle("darts do not chain head-to-tail")
@@ -133,6 +139,7 @@ def _validate_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> None:
         raise NotACycle("cycle revisits a vertex")
     if len({d.edge for d in C}) != len(C):
         raise NotACycle("cycle uses an edge twice")
+    return C
 
 
 def _unicycle_rotor(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = "bfs") -> dict:
@@ -157,11 +164,7 @@ def cycle_is_reversible(G: RibbonGraph, C: tuple[Dart, ...], orientation: str = 
     """
     if orientation not in ("bfs", "dfs"):
         raise TorsorError(f"unknown orientation {orientation!r}")
-    try:  # each element is read as an (edge, tail) pair of ids
-        C = tuple(Dart(*d) for d in C)
-        _validate_cycle(G, C)
-    except TypeError:
-        raise NotACycle(f"cycle elements must be (edge, tail) pairs of ids: {C!r}") from None
+    C = _read_cycle(G, C)
     rotor = _unicycle_rotor(G, C, orientation)
     chip = min((d.tail for d in C), key=G.vertex_pos)
 
@@ -208,7 +211,9 @@ def simple_cycles(G: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
 
 
 def reverse_cycle(G: RibbonGraph, C: tuple[Dart, ...]) -> tuple[Dart, ...]:
-    return tuple(G.reverse(d) for d in reversed(C))
+    """The directed simple cycle ``C``, read as ``cycle_is_reversible`` reads
+    it, traversed the other way."""
+    return tuple(G.reverse(d) for d in reversed(_read_cycle(G, C)))
 
 
 def all_cycles_reversible(G: RibbonGraph) -> bool:

@@ -27,7 +27,7 @@ from . import divisors as dv
 from . import duality as du
 from . import rotor as rt
 from .bernardi import (
-    _act, _alpha, _class_keys, _cut_ends, _first_arc, _shift_sides, _walk, bernardi_beta,
+    _act, _alpha, _beta, _class_keys, _cut_ends, _first_arc, _shift_sides, _walk,
 )
 from .corpus import rotation_cycles
 from .errors import HasBridge, NotPlanar, NotSimple
@@ -242,7 +242,7 @@ def _check_bernardi(report: SuiteReport, name: str, G: RibbonGraph) -> None:
             for e in G.incident[v]:
                 image = {}
                 for T in trees:
-                    beta = bernardi_beta(G, v, e, T).chips
+                    beta = _beta(G, v, e, T)
                     image[beta] = T
                     if any(_alpha(G, v, e, beta, left) != T for left in (False, True)):
                         fail({"vertex": v, "edge": e, "tree": sorted(T)})

@@ -185,8 +185,8 @@ def test_inverses_build_no_graphs(monkeypatch):
         v = G.vertices[0]
         e = G.rotation[v][0]
         cases = [(T, bernardi_beta(G, v, e, T).divisor) for T in spanning_trees(G)]
-        bernardi._alpha.cache_clear()
-        bk._is_break.cache_clear()
+        bernardi._start.cache_clear()
+        bk._trial_cuts.cache_clear()
         monkeypatch.setattr(RibbonGraph, "__init__", counting_init)
         for T, D in cases:
             assert alpha_right(G, v, e, D) == T
@@ -216,7 +216,7 @@ def test_bijectivity_random(seed):
 
 @rotation_free
 def _is_break_frozenset(G, removed, dt):
-    """``breakdiv._is_break`` with the removed edges as a frozenset: the
+    """``breakdiv._breaks_minor`` with the removed edges as a frozenset: the
     oracle for the bitmask form."""
     if sum(dt) != G.genus_comb - len(removed) or any(c < 0 for c in dt):
         return False
@@ -228,7 +228,7 @@ def _is_break_frozenset(G, removed, dt):
 
 
 def _alpha_frozenset(G, v, e, dt, left):
-    """``bernardi._alpha`` carrying its cut edges as a frozenset: the oracle
+    """``bernardi._reconstruct`` carrying its cut edges as a frozenset: the oracle
     for the bitmask form."""
     ends, at, step = G.ends, G._vertex_pos, G._pred if left else G._succ
     tree: set[str] = set()
@@ -289,7 +289,7 @@ def _assert_alpha_matches_frozenset(G, rng, count):
             inputs = [bernardi_beta(G, v, e, T).chips for T in trees]
             for dt in inputs + _random_tuples(G, rng, count):
                 for left in (False, True):
-                    got = _outcome(bernardi._alpha.__wrapped__, G, v, e, dt, left)
+                    got = _outcome(bernardi._reconstruct, G, v, e, dt, left)
                     assert got == _outcome(_alpha_frozenset, G, v, e, dt, left), (v, e, dt, left)
                     if isinstance(got, tuple):
                         seen.add(got)
@@ -324,7 +324,7 @@ def test_alpha_keeps_the_cli_error_messages():
     for G, v, e, dt, message in cases:
         for left in (False, True):
             expected = (NotBreakDivisor, message)
-            assert _outcome(bernardi._alpha.__wrapped__, G, v, e, dt, left) == expected
+            assert _outcome(bernardi._reconstruct, G, v, e, dt, left) == expected
             assert _outcome(_alpha_frozenset, G, v, e, dt, left) == expected
 
 
@@ -598,8 +598,8 @@ def test_no_tour_is_kept():
     gc.collect()
     assert not [obj for obj in gc.get_objects() if isinstance(obj, bernardi.Tour)]
     T = spanning_trees(corpus.k4())[0]
-    beta = bernardi_beta(corpus.k4(), "1", "e12", T)
-    assert bernardi_beta(corpus.k4(), "1", "e12", frozenset(sorted(T))) is beta
+    beta = bernardi._beta(corpus.k4(), "1", "e12", T)
+    assert bernardi._beta(corpus.k4(), "1", "e12", frozenset(sorted(T))) is beta
 
 
 NON_TREES = [

@@ -1,5 +1,6 @@
 """Break divisors: compatibility, membership, enumeration, representatives."""
 
+import gc
 import random
 from dataclasses import FrozenInstanceError
 from itertools import combinations_with_replacement, product
@@ -13,7 +14,7 @@ from treetorsor import corpus
 from treetorsor import divisors as dv
 from treetorsor import rotor as rt
 from treetorsor import suite
-from treetorsor.errors import DegreeMismatch, ValidationError
+from treetorsor.errors import DegreeMismatch, UnknownEdge, ValidationError
 from treetorsor.ribbon import RibbonGraph, _shared_tree, spanning_trees
 from treetorsor.suite import search_conjecture
 
@@ -233,7 +234,7 @@ def test_is_break_matches_oracle_on_inverse_queries(monkeypatch):
         return is_break(G, removed, dt)
 
     monkeypatch.setattr(bk, "_is_break", recording)
-    bernardi._alpha.cache_clear()
+    bernardi._start.cache_clear()
     for _, G in corpus.default_corpus():
         v = G.vertices[0]
         e = G.rotation[v][0]
@@ -241,7 +242,7 @@ def test_is_break_matches_oracle_on_inverse_queries(monkeypatch):
             D = bernardi.bernardi_beta(G, v, e, T).divisor
             assert bernardi.alpha_right(G, v, e, D) == T
             assert bernardi.alpha_left(G, v, e, D) == T
-    bernardi._alpha.cache_clear()
+    bernardi._start.cache_clear()
     assert len(asked) > 1000
     for G, removed, dt in asked:
         assert type(removed) is int
@@ -352,6 +353,11 @@ ROTATION_FREE = [spanning_trees, rt.simple_cycles, dv.picard_group, bk._enumerat
                  dv._generator_keys]
 
 
+def _body(fn):
+    """The computation behind a skeleton-keyed cache, run on the graph given."""
+    return bk._breaks_minor if fn is bk._is_break else fn.__wrapped__
+
+
 def _plain(value):
     """A cached answer without the graph object it was computed on."""
     if isinstance(value, dv.PicardGroup):
@@ -399,7 +405,7 @@ def test_rotation_free_caches_answer_for_every_rotation_system():
         for H in corpus.rotation_systems(G):
             rotated += H.skeleton is not H
             for fn, args in _rotation_free_queries(H, rng):
-                assert _plain(fn(H, *args)) == _plain(fn.__wrapped__(H, *args)), (fn, args)
+                assert _plain(fn(H, *args)) == _plain(_body(fn)(H, *args)), (fn, args)
     assert rotated > 100
 
 
@@ -418,15 +424,82 @@ def test_one_cold_bernardi_battery_caches_one_tree_per_target():
     G = corpus.k4()
     clear_caches()
     suite._check_bernardi(suite.SuiteReport(), "k4", G)
-    # the action keeps no cache of its own: its trees are cached per degree-g
+    # one record per tour start; reading them back makes none
+    starts = [(v, e) for v in G.vertices for e in G.incident[v]]
+    assert bernardi._start.cache_info().currsize == len(starts) == 12
+    records = [bernardi._start(G, v, e) for v, e in starts]
+    assert bernardi._start.cache_info().currsize == 12
+    # beta and both inverses of every tree at every start
+    assert sum(len(r.beta) for r in records) == 12 * 16
+    assert sum(len(r.right) + len(r.left) for r in records) == 2 * 12 * 16
+    # the action keeps no cache of its own: its trees are kept per degree-g
     # divisor beta + gamma, 155 of them for 448 actions (16 x 16 for the torsor
     # table, 4 x 3 x 16 for edge-independence)
     assert not hasattr(bernardi._act, "cache_info")
-    assert bernardi._tree_of.cache_info().currsize == 155
+    assert sum(len(r.trees) for r in records) == 155
     # one class-key row per (vertex, edge other than its first rotation edge, tree)
     assert bernardi._class_keys.cache_info().currsize == 4 * 2 * 16
+    # the only break divisors alive are the 16 enumerated and the 16 class
+    # representatives: beta is kept as chips
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, bk.BreakDivisor) and o.graph is G.skeleton]
+    assert len(alive) == 32
     clear_caches()
-    assert bernardi._tree_of.cache_info().currsize == 0
+    assert bernardi._start.cache_info().currsize == 0
+    # a start that is no incident pair leaves no record
+    with pytest.raises(UnknownEdge):
+        bernardi.bernardi_beta(G, "1", "zz", spanning_trees(G)[0])
+    assert bernardi._start.cache_info().currsize == 0
+
+
+def _inverses(G):
+    """Both inverses of beta of every tree, from the first rotation edge of
+    the first vertex."""
+    v = G.vertices[0]
+    e = G.rotation[v][0]
+    out = []
+    for T in spanning_trees(G):
+        D = bernardi.bernardi_beta(G, v, e, T).divisor
+        out.append((T, bernardi.alpha_right(G, v, e, D), bernardi.alpha_left(G, v, e, D)))
+    return out
+
+
+def test_trial_cuts_are_kept_for_one_graph():
+    k4, theta = corpus.k4(), corpus.theta(planar=True)
+    clear_caches()
+    first = _inverses(k4)
+    assert all(T == right == left for T, right, left in first)
+    k4_table = dict(bk._trial_cuts(k4.skeleton))
+    assert k4_table
+    _inverses(theta)
+    # the table holds theta's skeleton only: asking for it again is a hit
+    info = bk._trial_cuts.cache_info()
+    assert info.currsize == 1
+    assert bk._trial_cuts(theta.skeleton)
+    assert bk._trial_cuts.cache_info().misses == info.misses
+    # K4's inverses run again on a new table, with the same trees and answers
+    bernardi._start.cache_clear()
+    assert _inverses(k4) == first
+    assert bk._trial_cuts(k4.skeleton) == k4_table
+    clear_caches()
+
+
+def test_one_cold_suite_pass_orients_no_trial_cut_twice(monkeypatch):
+    # the one-graph table loses no hit to the graph-by-graph order of the
+    # suite: as many orientations as with a table per graph kept for good
+    calls = []
+    orient = bk._orient
+
+    def counting(*args):
+        calls.append(None)
+        return orient(*args)
+
+    graphs = corpus.default_corpus()
+    clear_caches()
+    monkeypatch.setattr(bk, "_orient", counting)
+    suite.run_theorem_suite(graphs)
+    assert len(calls) == 14942
+    clear_caches()
 
 
 def test_skeleton_is_shared_and_carries_the_break_divisors():

@@ -169,6 +169,14 @@ BAD_EDGE_ARGUMENTS = [
                  "a:zz", id="cycle_is_reversible-plain-pair-not-a-dart"),
     pytest.param(lambda G: rt.cycle_is_reversible(G, (("a", "1", "x"), ("b", "2"), ("c", "3"))),
                  NotACycle, "('a', '1', 'x')", id="cycle_is_reversible-malformed-element"),
+    # reverse_cycle reads and checks its cycle as cycle_is_reversible does
+    pytest.param(lambda G: rt.reverse_cycle(G, (("a", "zz"), ("b", "2"), ("c", "3"))), NotACycle,
+                 "a:zz", id="reverse_cycle-plain-pair-not-a-dart"),
+    pytest.param(lambda G: rt.reverse_cycle(G, (("abc",),)), NotACycle, "('abc',)",
+                 id="reverse_cycle-malformed-element"),
+    pytest.param(lambda G: rt.reverse_cycle(G, ()), NotACycle, "empty", id="reverse_cycle-empty"),
+    pytest.param(lambda G: rt.reverse_cycle(G, (Dart("a", "1"), Dart("a", "2"))), NotACycle,
+                 "edge twice", id="reverse_cycle-edge-there-and-back"),
 ]
 
 
@@ -307,6 +315,8 @@ def test_plain_pair_cycles_give_the_dart_verdict():
         for C in rt.simple_cycles(G):
             for D in (C, rt.reverse_cycle(G, C)):
                 verdict = rt.cycle_is_reversible(G, D)
-                assert rt.cycle_is_reversible(G, [tuple(d) for d in D]) == verdict
+                plain = [tuple(d) for d in D]
+                assert rt.cycle_is_reversible(G, plain) == verdict
+                assert rt.reverse_cycle(G, plain) == rt.reverse_cycle(G, D)
                 verdicts.add(verdict)
         assert verdicts == expected
